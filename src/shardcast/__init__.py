@@ -25,10 +25,6 @@ from .broadcaster import (
     BeaconEmission,
     BroadcastConfig,
     Broadcaster,
-    DeviceTrace,
-    broadcaster_tick,
-    schedule_trace,
-    trace_device,
 )
 from .errors import (
     BadBeaconCode,
@@ -68,7 +64,6 @@ from .identity import (
     shareset_expired,
     shareset_generate,
 )
-from .kernel import BACKEND, available_backends
 from .reconstructor import (
     ReceivedShare,
     ReconstructionReport,
@@ -78,7 +73,6 @@ from .reconstructor import (
     default_max_tries,
     estimate_search_space,
     expected_tries,
-    on_share_received,
 )
 from .rng import RandomSource
 from .shamir import SchemeParams, recover, split
@@ -98,7 +92,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ADV_MAX_S",
     "ADV_MIN_S",
-    "BACKEND",
     "BEACON_CODE",
     "BadBeaconCode",
     "BadLength",
@@ -110,7 +103,6 @@ __all__ = [
     "CHECKSUM_LEN",
     "DEFAULT_MFG_ID",
     "DEFAULT_REF_RSSI",
-    "DeviceTrace",
     "DuplicateShareId",
     "EmptyConfigList",
     "EmptyFile",
@@ -140,8 +132,6 @@ __all__ = [
     "TICK_S",
     "WrongShareCount",
     "ZeroInverse",
-    "available_backends",
-    "broadcaster_tick",
     "complementary_id_sets",
     "compute_raw_exposure",
     "compute_scheme_exposure",
@@ -156,16 +146,13 @@ __all__ = [
     "identifier_new",
     "identifier_verify",
     "load_sim_configs",
-    "on_share_received",
     "read_sightings",
     "recover",
     "run_simulation",
     "run_trials",
-    "schedule_trace",
     "shareset_expired",
     "shareset_generate",
     "split",
     "sweep",
-    "trace_device",
     "write_results",
 ]

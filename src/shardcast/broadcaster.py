@@ -12,9 +12,9 @@ integer arithmetic; seconds only appear at the API boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .identity import ShareSet, Share, identifier_new, shareset_generate
+from .identity import ShareSet, Share, shareset_generate
 from .rng import RandomSource
 from .shamir import SchemeParams
 
@@ -147,36 +147,3 @@ class Broadcaster:
         limit = to_ticks(horizon) - 1
         return self.tick(limit * TICK_S)
 
-
-def broadcaster_tick(state: Broadcaster, now: float) -> list[BeaconEmission]:
-    """Advance ``state`` to ``now`` and return the emissions due."""
-    return state.tick(now)
-
-
-@dataclass
-class DeviceTrace:
-    identifier: bytes
-    emissions: list[BeaconEmission] = field(default_factory=list)
-
-
-def trace_device(
-    config: BroadcastConfig,
-    horizon: float,
-    seed: int | None,
-    start: float = 0.0,
-) -> DeviceTrace:
-    """Run one device from ``start`` to ``horizon`` under its own seed."""
-    rng = RandomSource(seed)
-    identifier = identifier_new(rng)
-    device = Broadcaster(identifier, config, rng, start=start)
-    return DeviceTrace(identifier, device.emissions_before(horizon))
-
-
-def schedule_trace(
-    config: BroadcastConfig,
-    horizon: float,
-    seed: int | None,
-    start: float = 0.0,
-) -> list[BeaconEmission]:
-    """Deterministic emission schedule for one device over [start, horizon)."""
-    return trace_device(config, horizon, seed, start=start).emissions

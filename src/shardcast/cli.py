@@ -27,7 +27,7 @@ from .exposure import (
 from .identity import Share, identifier_new, identifier_verify
 from .rng import RandomSource
 from .shamir import SchemeParams, recover, split
-from .simulator import SimConfig, load_sim_configs, sweep, write_results
+from .simulator import RECON_MODES, SimConfig, load_sim_configs, sweep, write_results
 
 
 def _int_any_base(text: str) -> int:
@@ -178,22 +178,11 @@ def _single_config(args) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
+    """Serves both ``simulate`` and ``sweep``: run the configs, write the TSV."""
     if args.config:
         configs = _config_overrides(args, load_sim_configs(args.config))
     else:
         configs = [_single_config(args)]
-    rows = sweep(configs)
-    out, close = _open_out(args.out)
-    try:
-        write_results(rows, out)
-    finally:
-        if close:
-            out.close()
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    configs = _config_overrides(args, load_sim_configs(args.config))
     rows = sweep(configs)
     out, close = _open_out(args.out)
     try:
@@ -295,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", help="results file (default: stdout)")
+        p.set_defaults(func=cmd_simulate)
         if not needs_config:
             p.add_argument("--k", type=int)
             p.add_argument("--n", type=int)
@@ -305,10 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--loss-rate", type=float, default=0.0)
             p.add_argument("--scan-mode", default="continuous")
             p.add_argument("--horizon", type=float)
-            p.add_argument("--recon-mode", choices=("cycle", "arrival"), default="cycle")
-            p.set_defaults(func=cmd_simulate)
-        else:
-            p.set_defaults(func=cmd_sweep)
+            p.add_argument("--recon-mode", choices=RECON_MODES, default="cycle")
 
     p = subs.add_parser("analyze", help="exposure report for a sighting log")
     p.add_argument("--input", required=True, help="sighting log file")

@@ -294,7 +294,3 @@ class Reconstructor:
             shares_remaining=len(self._pool),
         )
 
-
-def on_share_received(state: Reconstructor, entry: ReceivedShare) -> list[bytes]:
-    """Feed one reception through ``state``; returns new identifiers."""
-    return state.on_share_received(entry)

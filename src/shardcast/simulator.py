@@ -38,6 +38,8 @@ SCAN_MODES = {
     "low_power": (0.5, 5.0),
 }
 
+RECON_MODES = ("cycle", "arrival")
+
 
 def scan_window_params(mode: str) -> tuple[float, float]:
     """(window_s, interval_s) for a scan mode name; custom:W:I supported."""
@@ -74,7 +76,7 @@ class SimConfig:
             raise ValueError("m_devices, scanners and trials must be at least 1")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must lie in [0, 1)")
-        if self.recon_mode not in ("cycle", "arrival"):
+        if self.recon_mode not in RECON_MODES:
             raise ValueError(f"unknown recon_mode {self.recon_mode!r}")
         scan_window_params(self.scan_mode)  # validates
         if self.horizon is not None and self.horizon <= 0:
@@ -351,6 +353,21 @@ def _parse_schemes(text: str, line: int) -> list[tuple[int, int]]:
     return out
 
 
+def _scan_mode(text: str) -> str:
+    scan_window_params(text)  # validates
+    return text
+
+
+def _recon_mode(text: str) -> str:
+    if text not in RECON_MODES:
+        raise ValueError(f"unknown recon_mode {text!r}")
+    return text
+
+
+def _eviction(text: str) -> str | float:
+    return text if text in ("auto", "off") else float(text)
+
+
 def load_sim_configs(path: str) -> list[SimConfig]:
     """Parse a key=value config file into one config per scheme/nodes pair.
 
@@ -403,16 +420,14 @@ def load_sim_configs(path: str) -> list[SimConfig]:
     t_share = scalar("t_share", 5.0, float)
     adv_interval = scalar("adv_interval", 1.0, float)
     loss_rate = scalar("loss_rate", 0.0, float)
-    scan_mode = scalar("scan_mode", "continuous", str)
+    scan_mode = scalar("scan_mode", "continuous", _scan_mode)
     horizon = scalar("horizon", None, float)
     seed = scalar("seed", 0, int)
     trials = scalar("trials", 1, int)
-    recon_mode = scalar("recon_mode", "cycle", str)
+    recon_mode = scalar("recon_mode", "cycle", _recon_mode)
     max_tries = scalar("max_tries", None, int)
     group_by_mac = scalar("group_by_mac", False, lambda v: _BOOL[v.lower()])
-    eviction = scalar("eviction", "auto", str)
-    if eviction not in ("auto", "off"):
-        eviction = float(eviction)
+    eviction = scalar("eviction", "auto", _eviction)
     if raw:
         key = next(iter(raw))
         raise ParseError(raw[key][1], f"unknown config key {key!r}")

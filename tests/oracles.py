@@ -6,6 +6,8 @@ separate from the package under test, so expected values never depend on
 the code they are meant to check.
 """
 
+from functools import lru_cache
+
 REDUCING_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 
@@ -21,8 +23,9 @@ def gf_mul_ref(a: int, b: int) -> int:
     return prod
 
 
+@lru_cache(maxsize=None)
 def gf_inv_ref(a: int) -> int:
-    """Inverse by exhaustive search over the multiplicative group."""
+    """Inverse by exhaustive search over the multiplicative group (memoised)."""
     for x in range(1, 256):
         if gf_mul_ref(a, x) == 1:
             return x

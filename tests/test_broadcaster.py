@@ -12,7 +12,6 @@ from shardcast.broadcaster import (
     BroadcastConfig,
     Broadcaster,
     to_ticks,
-    trace_device,
 )
 from shardcast.identity import identifier_new
 from shardcast.rng import RandomSource
@@ -158,15 +157,16 @@ def test_phase_offset_shifts_schedule():
 
 
 def test_trace_device_deterministic():
-    config = BroadcastConfig(SchemeParams(3, 5), t_share=1.0, adv_interval=0.5)
-    one = trace_device(config, horizon=20.0, seed=404)
-    two = trace_device(config, horizon=20.0, seed=404)
-    other = trace_device(config, horizon=20.0, seed=405)
-    assert one.identifier == two.identifier
-    assert [(e.t, e.share, e.mac_token) for e in one.emissions] == [
-        (e.t, e.share, e.mac_token) for e in two.emissions
-    ]
-    assert one.identifier != other.identifier
+    def trace(seed):
+        device = make_device(seed=seed, t_share=1.0, adv=0.5)
+        return device.identifier, device.emissions_before(20.0)
+
+    one_id, one = trace(404)
+    two_id, two = trace(404)
+    other_id, _ = trace(405)
+    assert one_id == two_id
+    assert [(e.t, e.share, e.mac_token) for e in one] == [(e.t, e.share, e.mac_token) for e in two]
+    assert one_id != other_id
 
 
 def test_emissions_before_is_strict():

@@ -13,7 +13,6 @@ from shardcast.reconstructor import (
     default_max_tries,
     estimate_search_space,
     expected_tries,
-    on_share_received,
 )
 from shardcast.rng import RandomSource
 from shardcast.shamir import SchemeParams, split
@@ -41,15 +40,6 @@ def test_single_device_recovers_on_kth_share():
     assert recon.total_tries == 1
     assert recon.report().shares_consumed == 3
     assert recon.report().shares_remaining == 0
-
-
-def test_module_level_entry_point():
-    params = SchemeParams(2, 3)
-    rng = RandomSource(52)
-    identifier, entries = device_shares(rng, params, "aa:aa:aa:aa:aa:aa")
-    recon = Reconstructor(params, RandomSource(2))
-    assert on_share_received(recon, entries[0]) == []
-    assert on_share_received(recon, entries[1]) == [identifier]
 
 
 def test_duplicate_receptions_do_not_enter_pool():

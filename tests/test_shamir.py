@@ -1,6 +1,7 @@
 """Share splitting and recovery, with reference-route cross-checks."""
 
 import itertools
+import random
 
 import pytest
 
@@ -71,27 +72,35 @@ def test_split_matches_direct_polynomial_evaluation():
     # Route one: the implementation with a scripted coefficient stream.
     # Route two: naive polynomial evaluation built on the long-division
     # field reference.
-    secret = bytes([5, 0, 255, 31])
-    k, n = 3, 5
-    coeffs = bytes([7, 11, 0, 200, 254, 1, 3, 17])  # per byte: a_1, a_2
-    shares = split(secret, SchemeParams(k, n), ScriptedRng(coeffs))
-    for x, body in shares:
-        for j, secret_byte in enumerate(secret):
-            a1 = coeffs[j * 2]
-            a2 = coeffs[j * 2 + 1]
-            expected = secret_byte
-            expected ^= gf_mul_ref(a1, x)
-            expected ^= gf_mul_ref(a2, gf_mul_ref(x, x))
-            assert body[j] == expected
+    rng = RandomSource(31)
+    for k in range(2, 9):
+        for n in (k, k + 1, k + 5):
+            for width in (0, 1, 16, 33):
+                secret = rng.randbytes(width)
+                coeffs = rng.randbytes(width * (k - 1))  # per byte: a_1..a_{k-1}
+                shares = split(secret, SchemeParams(k, n), ScriptedRng(coeffs))
+                for x, body in shares:
+                    expected = bytearray(secret)
+                    for j in range(width):
+                        power = 1
+                        for c in range(k - 1):
+                            power = gf_mul_ref(power, x)
+                            expected[j] ^= gf_mul_ref(coeffs[j * (k - 1) + c], power)
+                    assert body == bytes(expected), (k, n, width, x)
 
 
 def test_recover_matches_lagrange_reference():
     rng = RandomSource(77)
-    for k, n in [(2, 5), (3, 5), (5, 8)]:
-        secret = rng.randbytes(16)
-        shares = split(secret, SchemeParams(k, n), rng)
-        subset = [shares[i] for i in (0, n - 1, n // 2, 1, 2)[:k]]
-        assert recover(subset, k) == gf_lagrange_ref(subset, 0) == secret
+    order = random.Random(77)
+    for k in range(2, 9):
+        for n in (k, k + 1, k + 5):
+            for width in (0, 1, 16, 33):
+                secret = rng.randbytes(width)
+                shares = split(secret, SchemeParams(k, n), rng)
+                subset = order.sample(shares, k)
+                # Both orders: at least one of them is unsorted.
+                for points in (subset, subset[::-1]):
+                    assert recover(points, k) == gf_lagrange_ref(points, 0) == secret
 
 
 def test_recover_error_paths():

@@ -349,6 +349,9 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("scheme = 3:5\nnodes = 1,two\n", 2),
         ("scheme = 3:5\ngroup_by_mac = maybe\n", 2),
         ("scheme = 3:5\njust words\n", 2),
+        ("scheme = 3:5\neviction = soon\n", 2),
+        ("scheme = 3:5\nrecon_mode = sometimes\n", 2),
+        ("scheme = 3:5\nscan_mode = custom:5:1\n", 2),
     ],
 )
 def test_load_config_errors(tmp_path, text, line):
