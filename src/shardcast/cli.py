@@ -200,18 +200,20 @@ def _parse_gaps(text: str, parser) -> list[int]:
         parser.error(f"--gaps must be a comma list of integers, got {text!r}")
     if not gaps:
         parser.error("--gaps must not be empty")
+    if min(gaps) < 0:
+        parser.error(f"--gaps must not be negative, got {text!r}")
     return gaps
 
 
 def cmd_analyze(args) -> int:
+    gaps = _parse_gaps(args.gaps, args.parser) if args.gaps else None
     sightings = read_sightings(args.input)
     scheme = ExposureScheme(args.k, args.n, args.t)
     report = compute_scheme_exposure(sightings, scheme, align=args.align)
     out, close = _open_out(args.out)
     try:
         write_exposure_report([report], out)
-        if args.gaps:
-            gaps = _parse_gaps(args.gaps, args.parser)
+        if gaps:
             out.write("\n")
             write_encounter_report(encounter_statistics(sightings, gaps), out)
     finally:
@@ -221,8 +223,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_encounters(args) -> int:
-    sightings = read_sightings(args.input)
     gaps = _parse_gaps(args.gaps, args.parser)
+    sightings = read_sightings(args.input)
     out, close = _open_out(args.out)
     try:
         write_encounter_report(encounter_statistics(sightings, gaps), out)

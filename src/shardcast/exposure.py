@@ -2,8 +2,10 @@
 
 A sighting log is a delimiter-separated text file (comma or tab,
 auto-detected) whose rows carry at least four columns: integer timestamp
-in seconds, device token, scanner token, signed RSSI. A header row is
-recognized and skipped when its first field is not an integer.
+in seconds (below 2**63), device token, scanner token, signed RSSI. A
+header row is recognized and skipped when its first field is not an
+integer. In memory a log is a ``SightingLog``: one sorted timestamp
+array per (device, scanner) pair.
 
 Two exposure measures are computed per (device, scanner) timeline:
 
@@ -22,7 +24,12 @@ sighting instead.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import le, sub
 from typing import Iterable, TextIO
 
 from .errors import EmptyFile, InvalidScheme, ParseError
@@ -105,72 +112,120 @@ ENCOUNTER_HEADER = "max_gap_s\tencounters\ttotal_duration_s"
 
 # -- ingestion -----------------------------------------------------------
 
-
-def _split_row(text: str, delimiter: str, lineno: int) -> list[str]:
-    fields = [f.strip() for f in text.split(delimiter)]
-    if len(fields) < 4:
-        raise ParseError(lineno, f"expected at least 4 columns, got {len(fields)}")
-    return fields[:4]
+# Timestamps are stored as signed 64-bit integers (array typecode "q").
+TIMESTAMP_LIMIT = 2**63
 
 
-def read_sightings(path: str) -> list[Sighting]:
-    """Load a sighting log, sorted by (timestamp, device, scanner).
+@dataclass
+class SightingLog:
+    """A sighting log reduced to what the analyses read.
+
+    ``pairs`` maps each (device, scanner) pair to its timestamps, sorted,
+    in a compact ``array('q')``: about 8 bytes per row plus a fixed cost per
+    pair. RSSI is validated on input but not kept. ``len(log)`` is the
+    number of rows.
+    """
+
+    pairs: dict[tuple[str, str], array]
+
+    def __len__(self) -> int:
+        return sum(map(len, self.pairs.values()))
+
+    @classmethod
+    def from_sightings(cls, sightings: Iterable[Sighting]) -> SightingLog:
+        """Group in-memory sightings by (device, scanner)."""
+        pairs: dict[tuple[str, str], array] = {}
+        for s in sightings:
+            pairs.setdefault((s.device_id, s.scanner_id), array("q")).append(s.timestamp)
+        return _sorted_log(pairs)
+
+
+def _sorted_log(pairs: dict[tuple[str, str], array]) -> SightingLog:
+    for stamps in pairs.values():
+        if not all(map(le, stamps, islice(stamps, 1, None))):
+            stamps[:] = array("q", sorted(stamps))
+    return SightingLog(pairs)
+
+
+def _as_log(sightings: SightingLog | Iterable[Sighting]) -> SightingLog:
+    if isinstance(sightings, SightingLog):
+        return sightings
+    return SightingLog.from_sightings(sightings)
+
+
+def read_sightings(path: str) -> SightingLog:
+    """Load a sighting log in one pass into per-pair sorted timestamp arrays.
 
     Raises ParseError with the offending line number, or EmptyFile when
     no data rows are present.
     """
-    out: list[Sighting] = []
-    delimiter = None
+    pairs: dict[tuple[str, str], array] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.rstrip("\n").rstrip("\r")
-            if not text.strip():
-                continue
-            if delimiter is None:
-                delimiter = "\t" if "\t" in text else ","
-                first = text.split(delimiter)[0].strip()
-                try:
-                    int(first)
-                except ValueError:
-                    continue  # header row
-            ts_text, device, scanner, rssi_text = _split_row(text, delimiter, lineno)
+        numbered = enumerate(fh, start=1)
+        for lineno, line in numbered:
+            if line.strip():
+                break
+        else:
+            raise EmptyFile(f"no sighting rows in {path}")
+        delimiter = "\t" if "\t" in line else ","
+        try:
+            int(line.split(delimiter)[0])
+        except ValueError:
+            pass  # header row
+        else:
+            numbered = chain([(lineno, line)], numbered)
+        # int() ignores surrounding whitespace as str.strip() does, so only
+        # the tokens are stripped; a blank line fails the first int() or
+        # has fewer than 4 columns, and is skipped there.
+        for lineno, line in numbered:
+            fields = line.split(delimiter)
+            if len(fields) < 4:
+                if not line.strip():
+                    continue
+                raise ParseError(lineno, f"expected at least 4 columns, got {len(fields)}")
+            ts_text, device, scanner, rssi_text = fields[:4]
             try:
                 ts = int(ts_text)
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad timestamp {ts_text!r}") from exc
+            except ValueError:
+                if not line.strip():
+                    continue
+                raise ParseError(lineno, f"bad timestamp {ts_text.strip()!r}") from None
             if ts < 0:
                 raise ParseError(lineno, f"negative timestamp {ts}")
+            if ts >= TIMESTAMP_LIMIT:
+                raise ParseError(lineno, f"timestamp {ts} out of range (must be below 2**63)")
             try:
-                rssi = int(rssi_text)
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad rssi {rssi_text!r}") from exc
+                int(rssi_text)
+            except ValueError:
+                raise ParseError(lineno, f"bad rssi {rssi_text.strip()!r}") from None
+            device = device.strip()
+            scanner = scanner.strip()
             if not device or not scanner:
                 raise ParseError(lineno, "empty device or scanner token")
-            out.append(Sighting(ts, device, scanner, rssi))
-    if not out:
+            stamps = pairs.get((device, scanner))
+            if stamps is None:
+                stamps = pairs[sys.intern(device), sys.intern(scanner)] = array("q")
+            stamps.append(ts)
+    if not pairs:
         raise EmptyFile(f"no sighting rows in {path}")
-    out.sort(key=lambda s: (s.timestamp, s.device_id, s.scanner_id))
-    return out
+    return _sorted_log(pairs)
 
 
 # -- encounters ----------------------------------------------------------
 
 
-def _by_pair(sightings: Iterable[Sighting]) -> dict[tuple[str, str], list[int]]:
-    pairs: dict[tuple[str, str], list[int]] = {}
-    for s in sightings:
-        pairs.setdefault((s.device_id, s.scanner_id), []).append(s.timestamp)
-    for stamps in pairs.values():
-        stamps.sort()
-    return pairs
-
-
-def extract_encounters(sightings: Iterable[Sighting], max_gap: int) -> list[Encounter]:
-    """Maximal per-pair runs of sightings with gaps of at most max_gap seconds."""
+def _check_gap(max_gap: int) -> None:
     if max_gap < 0:
         raise ValueError("max_gap must be non-negative")
+
+
+def extract_encounters(
+    sightings: SightingLog | Iterable[Sighting], max_gap: int
+) -> list[Encounter]:
+    """Maximal per-pair runs of sightings with gaps of at most max_gap seconds."""
+    _check_gap(max_gap)
     out: list[Encounter] = []
-    for (device, scanner), stamps in sorted(_by_pair(sightings).items()):
+    for (device, scanner), stamps in sorted(_as_log(sightings).pairs.items()):
         first = prev = stamps[0]
         count = 0
         for ts in stamps:
@@ -185,27 +240,41 @@ def extract_encounters(sightings: Iterable[Sighting], max_gap: int) -> list[Enco
 
 
 def encounter_statistics(
-    sightings: Iterable[Sighting], gaps: Iterable[int]
+    sightings: SightingLog | Iterable[Sighting], gaps: Iterable[int]
 ) -> list[tuple[int, int, int]]:
-    """One (gap, encounter_count, total_duration_s) row per gap value."""
-    rows = list(sightings)
+    """One (gap, encounter_count, total_duration_s) row per gap value.
+
+    All gaps are answered from one histogram of the differences d between
+    a pair's consecutive timestamps: an encounter ends at every difference
+    above the gap, and its duration is one second plus the differences
+    inside it, so for gap g >= 0
+    ``count = pairs + #{d > g}`` and ``duration = count + sum(d <= g)``.
+    """
+    gaps = list(gaps)
+    for gap in gaps:
+        _check_gap(gap)
+    log = _as_log(sightings)
+    hist: Counter[int] = Counter()
+    for stamps in log.pairs.values():
+        hist.update(map(sub, islice(stamps, 1, None), stamps))
     out = []
     for gap in gaps:
-        encounters = extract_encounters(rows, gap)
-        out.append((gap, len(encounters), sum(e.duration for e in encounters)))
+        count = len(log.pairs) + sum(n for d, n in hist.items() if d > gap)
+        inside = sum(d * n for d, n in hist.items() if d <= gap)
+        out.append((gap, count, count + inside))
     return out
 
 
 # -- exposure ------------------------------------------------------------
 
 
-def compute_raw_exposure(sightings: Iterable[Sighting]) -> int:
+def compute_raw_exposure(sightings: SightingLog | Iterable[Sighting]) -> int:
     """Seconds of exposure with every sighting worth one second."""
-    return sum(1 for _ in sightings)
+    return len(_as_log(sightings))
 
 
 def compute_scheme_exposure(
-    sightings: Iterable[Sighting],
+    sightings: SightingLog | Iterable[Sighting],
     scheme: ExposureScheme,
     align: str = "grid",
 ) -> ExposureReport:
@@ -219,21 +288,33 @@ def compute_scheme_exposure(
     """
     if align not in ("grid", "device"):
         raise ValueError(f"unknown alignment {align!r}")
-    rows = list(sightings)
+    log = _as_log(sightings)
     anchors: dict[str, int] = {}
     if align == "device":
-        for s in rows:
-            prev = anchors.get(s.device_id)
-            if prev is None or s.timestamp < prev:
-                anchors[s.device_id] = s.timestamp
-    window_s = scheme.window_s
-    slots: dict[tuple[str, str, int], set[int]] = {}
-    for s in rows:
-        rel = s.timestamp - anchors.get(s.device_id, 0)
-        window, offset = divmod(rel, window_s)
-        slots.setdefault((s.device_id, s.scanner_id, window), set()).add(offset // scheme.t)
-    exposed = sum(len(v) for v in slots.values() if len(v) >= scheme.k)
-    return ExposureReport(scheme, exposed, compute_raw_exposure(rows))
+        for (device, _scanner), stamps in log.pairs.items():
+            if device not in anchors or stamps[0] < anchors[device]:
+                anchors[device] = stamps[0]
+    k, n, t = scheme.k, scheme.n, scheme.t
+    exposed = 0
+    for (device, _scanner), stamps in log.pairs.items():
+        # Stamps are sorted, so each window's slots arrive together and in
+        # order: count the slot changes, and settle a window when it ends.
+        anchor = anchors.get(device, 0)
+        window = slot = None
+        distinct = 0
+        for ts in stamps:
+            s = (ts - anchor) // t
+            if s != slot:
+                slot = s
+                if s // n != window:
+                    if distinct >= k:
+                        exposed += distinct
+                    window = s // n
+                    distinct = 0
+                distinct += 1
+        if distinct >= k:
+            exposed += distinct
+    return ExposureReport(scheme, exposed, len(log))
 
 
 # -- report writers ------------------------------------------------------

@@ -368,6 +368,27 @@ def _eviction(text: str) -> str | float:
     return text if text in ("auto", "off") else float(text)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{value} is not positive and finite")
+    return value
+
+
+def _loss_rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{value} is outside [0, 1)")
+    return value
+
+
 def load_sim_configs(path: str) -> list[SimConfig]:
     """Parse a key=value config file into one config per scheme/nodes pair.
 
@@ -403,27 +424,30 @@ def load_sim_configs(path: str) -> list[SimConfig]:
 
     nodes_text, nodes_line = take("nodes", "1")
     try:
-        nodes_list = [int(x) for x in nodes_text.split(",")]
+        nodes_list = [_count(x) for x in nodes_text.split(",")]
     except ValueError as exc:
         raise ParseError(nodes_line or 1, f"bad nodes list {nodes_text!r}") from exc
+
+    lines: dict[str, int] = {}
 
     def scalar(key: str, default, conv):
         value, lineno = take(key, None)
         if value is None:
             return default
+        lines[key] = lineno
         try:
             return conv(value)
         except (ValueError, KeyError) as exc:
             raise ParseError(lineno, f"bad value for {key}: {value!r}") from exc
 
-    scanners = scalar("scanners", 1, int)
-    t_share = scalar("t_share", 5.0, float)
+    scanners = scalar("scanners", 1, _count)
+    t_share = scalar("t_share", 5.0, _positive)
     adv_interval = scalar("adv_interval", 1.0, float)
-    loss_rate = scalar("loss_rate", 0.0, float)
+    loss_rate = scalar("loss_rate", 0.0, _loss_rate)
     scan_mode = scalar("scan_mode", "continuous", _scan_mode)
-    horizon = scalar("horizon", None, float)
+    horizon = scalar("horizon", None, _positive)
     seed = scalar("seed", 0, int)
-    trials = scalar("trials", 1, int)
+    trials = scalar("trials", 1, _count)
     recon_mode = scalar("recon_mode", "cycle", _recon_mode)
     max_tries = scalar("max_tries", None, int)
     group_by_mac = scalar("group_by_mac", False, lambda v: _BOOL[v.lower()])
@@ -453,4 +477,9 @@ def load_sim_configs(path: str) -> list[SimConfig]:
                     eviction=eviction,
                 )
             )
+    try:
+        configs[0].broadcast_config()  # the advertising-interval rules
+    except (ValueError, OverflowError) as exc:  # OverflowError: adv_interval = inf
+        line = lines.get("adv_interval") or lines["t_share"]
+        raise ParseError(line, f"bad adv_interval: {exc}") from exc
     return configs

@@ -99,6 +99,33 @@ def exposure_slots_ref(rows, k: int, n: int, t: int) -> int:
     return total
 
 
+def exposure_slots_device_ref(rows, k: int, n: int, t: int) -> int:
+    """As exposure_slots_ref, with windows anchored at each device's first
+    sighting (over all of its scanners) instead of on the absolute grid.
+
+    Windows are laid out one after another from the anchor until they pass
+    the pair's last sighting, and each one rescans the pair's full list.
+    """
+    anchors = {}
+    pairs = {}
+    for ts, dev, sc, _ in rows:
+        anchors[dev] = min(ts, anchors.get(dev, ts))
+        pairs.setdefault((dev, sc), []).append(ts)
+    span = n * t
+    total = 0
+    for (dev, _sc), stamps in pairs.items():
+        start = anchors[dev]
+        while start <= max(stamps):
+            slots = set()
+            for ts in stamps:
+                if start <= ts < start + span:
+                    slots.add((ts - start) // t)
+            if len(slots) >= k:
+                total += len(slots)
+            start += span
+    return total
+
+
 def encounters_ref(rows, max_gap: int):
     """(encounter_count, total_duration) by per-pair index walking.
 

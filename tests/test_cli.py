@@ -281,9 +281,19 @@ def test_encounters_defaults_match_golden_section(capsys):
 
 
 def test_encounters_rejects_bad_gaps(capsys):
+    for gaps in ("a,b", "-1", "3,-2"):
+        with pytest.raises(SystemExit) as info:
+            main(["encounters", "--input", str(TRACE), "--gaps", gaps])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_analyze_rejects_negative_gaps_before_reading(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
-        main(["encounters", "--input", str(TRACE), "--gaps", "a,b"])
+        main(["analyze", "--input", str(tmp_path / "missing.csv"), "--k", "5", "--n", "6",
+              "--t", "1", "--gaps", "1,-1"])
     assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_no_subcommand_is_usage_error(capsys):

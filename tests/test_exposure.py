@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from shardcast.exposure import (
     ExposureReport,
     ExposureScheme,
     Sighting,
+    SightingLog,
     compute_raw_exposure,
     compute_scheme_exposure,
     encounter_statistics,
@@ -44,7 +46,25 @@ def as_sightings(rows):
     return [Sighting(*row) for row in rows]
 
 
+def make_rows_with_repeats(seed, count=60, t_max=60):
+    """make_rows on a short span, plus exact copies of some rows, so most
+    pairs see the same timestamp more than once."""
+    rows = make_rows(seed, count, t_max)
+    rows += random.Random(seed).sample(rows, count // 4)
+    return rows
+
+
+def write_log(path, rows):
+    path.write_text("timestamp,device_id,scanner_id,rssi\n"
+                    + "".join(f"{ts},{dev},{sc},{rssi}\n" for ts, dev, sc, rssi in rows))
+    return str(path)
+
+
 # -- ingestion ------------------------------------------------------------
+
+
+def timelines(log):
+    return {pair: list(stamps) for pair, stamps in log.pairs.items()}
 
 
 def test_read_comma_with_header(tmp_path):
@@ -54,35 +74,35 @@ def test_read_comma_with_header(tmp_path):
         "12,devA,scan1,-70\n"
         "3,devB,scan2,-55\n"
     )
-    rows = read_sightings(str(path))
-    assert rows == [
-        Sighting(3, "devB", "scan2", -55),
-        Sighting(12, "devA", "scan1", -70),
-    ]
+    log = read_sightings(str(path))
+    assert timelines(log) == {("devA", "scan1"): [12], ("devB", "scan2"): [3]}
+    assert len(log) == 2
 
 
 def test_read_tab_without_header(tmp_path):
     path = tmp_path / "log.tsv"
-    path.write_text("5\tdevA\tscan1\t-60\n9\tdevA\tscan1\t-61\n")
-    rows = read_sightings(str(path))
-    assert [s.timestamp for s in rows] == [5, 9]
-    assert rows[0].rssi == -60
+    path.write_text("5\tdevA\tscan1\t-60\n\t\t\t\n \t \t \t \n9\tdevA\tscan1\t-61\n")
+    log = read_sightings(str(path))
+    assert timelines(log) == {("devA", "scan1"): [5, 9]}
 
 
 def test_read_skips_blank_lines_and_ignores_extra_columns(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("\n7,devA,scan1,-50,extra,fields\n\n   \n2,devB,scan1,-51\n")
-    rows = read_sightings(str(path))
-    assert [s.timestamp for s in rows] == [2, 7]
+    log = read_sightings(str(path))
+    assert timelines(log) == {("devA", "scan1"): [7], ("devB", "scan1"): [2]}
+    assert len(log) == 2
 
 
 def test_read_sorts_by_timestamp_then_tokens(tmp_path):
     path = tmp_path / "log.csv"
-    path.write_text("9,z,s1,-40\n9,a,s2,-40\n9,a,s1,-40\n1,z,s9,-40\n")
-    rows = read_sightings(str(path))
-    assert [(s.timestamp, s.device_id, s.scanner_id) for s in rows] == [
-        (1, "z", "s9"), (9, "a", "s1"), (9, "a", "s2"), (9, "z", "s1")
-    ]
+    path.write_text("9,z,s1,-40\n9,a,s2,-40\n9,a,s1,-40\n1,z,s9,-40\n"
+                    " 4 , a , s1 , -41 \n9,a,s1,-40\n")
+    log = read_sightings(str(path))
+    assert timelines(log) == {
+        ("z", "s1"): [9], ("a", "s2"): [9], ("a", "s1"): [4, 9, 9], ("z", "s9"): [1]
+    }
+    assert len(log) == 6
 
 
 @pytest.mark.parametrize(
@@ -94,6 +114,9 @@ def test_read_sorts_by_timestamp_then_tokens(tmp_path):
         ("ts,dev,sc,rssi\nsoon,devA,scan1,-50\n", 2),
         ("1,,scan1,-50\n", 1),
         ("1,devA,,-50\n", 1),
+        ("1,devA,scan1,-50\n9223372036854775808,devA,scan1,-50\n", 2),
+        ("1,devA,scan1,-50\n-3,devA,scan1,-50\n", 2),
+        ("1,devA,scan1,-50\n2,devA,scan1,-5O\n", 2),
     ],
 )
 def test_read_reports_offending_line(tmp_path, body, line):
@@ -102,6 +125,45 @@ def test_read_reports_offending_line(tmp_path, body, line):
     with pytest.raises(ParseError) as info:
         read_sightings(str(path))
     assert info.value.line == line
+
+
+def test_file_and_memory_logs_agree(tmp_path):
+    scheme = ExposureScheme(3, 5, 2)
+    for seed in range(5):
+        rows = make_rows_with_repeats(seed)
+        from_file = read_sightings(write_log(tmp_path / f"log{seed}.csv", rows))
+        from_rows = SightingLog.from_sightings(as_sightings(rows))
+        assert from_file == from_rows
+        assert len(from_file) == len(rows)
+        for align in ("grid", "device"):
+            assert compute_scheme_exposure(from_file, scheme, align) == \
+                compute_scheme_exposure(as_sightings(rows), scheme, align)
+        assert extract_encounters(from_file, 2) == extract_encounters(as_sightings(rows), 2)
+        assert encounter_statistics(from_file, [0, 2, 9]) == \
+            encounter_statistics(as_sightings(rows), [0, 2, 9])
+
+
+def test_read_and_reports_stay_compact(tmp_path):
+    """Reading and both reports peak under 64 bytes of Python memory per row."""
+    rng = random.Random(11)
+    rows = sorted(
+        (ts, f"d{dev}", f"s{sc}", -40 - rng.randrange(50))
+        for dev in range(30)
+        for sc in range(4)
+        for ts in rng.sample(range(40_000), 200)
+    )
+    path = write_log(tmp_path / "big.csv", rows)
+    tracemalloc.start()
+    try:
+        log = read_sightings(path)
+        report = compute_scheme_exposure(log, ExposureScheme(3, 5, 10))
+        table = encounter_statistics(log, [1, 3, 30, 60])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 24_000 and report.raw_exposure_s == len(rows)
+    assert table[-1][1] >= 120
+    assert peak < 64 * len(rows), f"{peak / len(rows):.1f} B/row"
 
 
 def test_read_empty_inputs(tmp_path):
@@ -197,6 +259,16 @@ def test_exposure_matches_bruteforce_oracle():
             assert report.raw_exposure_s == len(rows)
 
 
+def test_device_alignment_matches_bruteforce_oracle():
+    schemes = [(1, 1, 1), (3, 5, 1), (4, 6, 5), (2, 3, 10)]
+    for seed in range(30):
+        rows = make_rows(seed) if seed % 2 else make_rows_with_repeats(seed)
+        sightings = as_sightings(rows)
+        for k, n, t in schemes:
+            report = compute_scheme_exposure(sightings, ExposureScheme(k, n, t), "device")
+            assert report.slots_exposed == oracles.exposure_slots_device_ref(rows, k, n, t)
+
+
 def test_raw_exposure_is_row_count():
     rows = as_sightings(make_rows(4, count=37))
     assert compute_raw_exposure(rows) == 37
@@ -257,9 +329,20 @@ def test_encounters_match_oracle():
             assert sum(e.duration for e in encounters) == duration
 
 
+def test_encounter_statistics_match_oracle():
+    gaps = [0, 1, 3, 30, 100]
+    for seed in range(20):
+        rows = make_rows_with_repeats(seed + 200)
+        table = encounter_statistics(as_sightings(rows), gaps)
+        assert table == [(gap, *oracles.encounters_ref(rows, gap)) for gap in gaps]
+
+
 def test_encounter_gap_must_be_non_negative():
+    rows = as_sightings(make_rows(1, count=5))
     with pytest.raises(ValueError):
-        extract_encounters(as_sightings(make_rows(1, count=5)), -1)
+        extract_encounters(rows, -1)
+    with pytest.raises(ValueError):
+        encounter_statistics(rows, [3, -1])
 
 
 def test_encounter_statistics_rows():

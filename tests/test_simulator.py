@@ -352,6 +352,11 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("scheme = 3:5\neviction = soon\n", 2),
         ("scheme = 3:5\nrecon_mode = sometimes\n", 2),
         ("scheme = 3:5\nscan_mode = custom:5:1\n", 2),
+        ("scheme = 3:5\nnodes = 0\n", 2),
+        ("scheme = 3:5\nloss_rate = 1.5\n", 2),
+        ("scheme = 3:5\nadv_interval = 0.001\n", 2),
+        ("scheme = 3:5\nadv_interval = inf\n", 2),
+        ("scheme = 3:5\nhorizon = inf\n", 2),
     ],
 )
 def test_load_config_errors(tmp_path, text, line):
