@@ -7,25 +7,13 @@ an observer present for at least k distinct slots can put the identity
 back together. The package bundles the field/share primitives, the frame
 codec, the broadcast scheduler, the scanner-side reconstruction search,
 a deterministic loss/duty-cycle simulator, and trace exposure analysis.
+
+The top level re-exports the quick-start names and the error types;
+everything else is imported from its own module.
 """
 
-from .beacon import (
-    BEACON_CODE,
-    DEFAULT_MFG_ID,
-    DEFAULT_REF_RSSI,
-    FRAME_LEN,
-    BeaconFrame,
-    decode_frame,
-    encode_frame,
-)
-from .broadcaster import (
-    ADV_MAX_S,
-    ADV_MIN_S,
-    TICK_S,
-    BeaconEmission,
-    BroadcastConfig,
-    Broadcaster,
-)
+from .beacon import decode_frame, encode_frame
+from .broadcaster import BroadcastConfig, Broadcaster
 from .errors import (
     BadBeaconCode,
     BadLength,
@@ -33,6 +21,7 @@ from .errors import (
     DuplicateShareId,
     EmptyConfigList,
     EmptyFile,
+    InvalidConfig,
     InvalidParams,
     InvalidScheme,
     LengthMismatch,
@@ -41,120 +30,41 @@ from .errors import (
     WrongShareCount,
     ZeroInverse,
 )
-from .exposure import (
-    Encounter,
-    ExposureReport,
-    ExposureScheme,
-    Sighting,
-    SightingLog,
-    compute_raw_exposure,
-    compute_scheme_exposure,
-    encounter_statistics,
-    extract_encounters,
-    read_sightings,
-)
-from .identity import (
-    CHECKSUM_LEN,
-    IDENTIFIER_LEN,
-    RANDOM_LEN,
-    Share,
-    ShareSet,
-    default_expiry,
-    identifier_new,
-    identifier_verify,
-    shareset_expired,
-    shareset_generate,
-)
-from .reconstructor import (
-    ReceivedShare,
-    ReconstructionReport,
-    Reconstructor,
-    RecoveredIdentity,
-    complementary_id_sets,
-    default_max_tries,
-    estimate_search_space,
-    expected_tries,
-)
+from .identity import identifier_new, identifier_verify
+from .reconstructor import ReceivedShare, Reconstructor
 from .rng import RandomSource
 from .shamir import SchemeParams, recover, split
-from .simulator import (
-    SimConfig,
-    SimResult,
-    SweepRow,
-    load_sim_configs,
-    run_simulation,
-    run_trials,
-    sweep,
-    write_results,
-)
+from .simulator import SimConfig, run_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADV_MAX_S",
-    "ADV_MIN_S",
-    "BEACON_CODE",
     "BadBeaconCode",
     "BadLength",
     "BadShareId",
-    "BeaconEmission",
-    "BeaconFrame",
     "BroadcastConfig",
     "Broadcaster",
-    "CHECKSUM_LEN",
-    "DEFAULT_MFG_ID",
-    "DEFAULT_REF_RSSI",
     "DuplicateShareId",
     "EmptyConfigList",
     "EmptyFile",
-    "Encounter",
-    "ExposureReport",
-    "ExposureScheme",
-    "FRAME_LEN",
-    "IDENTIFIER_LEN",
+    "InvalidConfig",
     "InvalidParams",
     "InvalidScheme",
     "LengthMismatch",
     "ParseError",
-    "RANDOM_LEN",
     "RandomSource",
     "ReceivedShare",
-    "ReconstructionReport",
     "Reconstructor",
-    "RecoveredIdentity",
     "SchemeParams",
-    "Share",
-    "ShareSet",
     "ShardcastError",
-    "Sighting",
-    "SightingLog",
     "SimConfig",
-    "SimResult",
-    "SweepRow",
-    "TICK_S",
     "WrongShareCount",
     "ZeroInverse",
-    "complementary_id_sets",
-    "compute_raw_exposure",
-    "compute_scheme_exposure",
-    "default_expiry",
-    "default_max_tries",
-    "encounter_statistics",
-    "encode_frame",
     "decode_frame",
-    "estimate_search_space",
-    "expected_tries",
-    "extract_encounters",
+    "encode_frame",
     "identifier_new",
     "identifier_verify",
-    "load_sim_configs",
-    "read_sightings",
     "recover",
-    "run_simulation",
     "run_trials",
-    "shareset_expired",
-    "shareset_generate",
     "split",
-    "sweep",
-    "write_results",
 ]

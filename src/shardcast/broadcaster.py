@@ -12,8 +12,10 @@ integer arithmetic; seconds only appear at the API boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .errors import InvalidConfig
 from .identity import ShareSet, Share, shareset_generate
 from .rng import RandomSource
 from .shamir import SchemeParams
@@ -35,17 +37,22 @@ class BroadcastConfig:
     expiry: float | None = None  # None: one full cycle, n * t_share
 
     def __post_init__(self):
-        if self.t_share <= 0:
-            raise ValueError("t_share must be positive")
+        if not 0 < self.t_share < math.inf:
+            raise InvalidConfig(f"t_share {self.t_share} is not positive and finite", "t_share")
         ticks = self.adv_interval / TICK_S
-        if abs(ticks - round(ticks)) > 1e-6:
-            raise ValueError(f"adv_interval {self.adv_interval} is not a multiple of {TICK_S} s")
+        if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
+            raise InvalidConfig(
+                f"adv_interval {self.adv_interval} is not a multiple of {TICK_S} s", "adv_interval"
+            )
         if not ADV_MIN_S - 1e-9 <= self.adv_interval <= ADV_MAX_S + 1e-9:
-            raise ValueError(f"adv_interval {self.adv_interval} outside [{ADV_MIN_S}, {ADV_MAX_S}] s")
+            raise InvalidConfig(
+                f"adv_interval {self.adv_interval} outside [{ADV_MIN_S}, {ADV_MAX_S}] s",
+                "adv_interval",
+            )
         if self.adv_interval > self.t_share + 1e-9:
-            raise ValueError("adv_interval must not exceed t_share")
+            raise InvalidConfig("adv_interval must not exceed t_share", "adv_interval", "t_share")
         if self.expiry is not None and self.expiry <= 0:
-            raise ValueError("expiry must be positive")
+            raise InvalidConfig("expiry must be positive", "expiry")
 
     @property
     def effective_expiry(self) -> float:

@@ -155,6 +155,12 @@ def _config_overrides(args, configs: list[SimConfig]) -> list[SimConfig]:
     return out
 
 
+# The simulate flags that set a SimConfig field, by field name; a flag left
+# out takes SimConfig's default.
+_SIM_FIELDS = ("m_devices", "scanners", "t_share", "adv_interval", "loss_rate", "scan_mode",
+               "horizon", "trials", "recon_mode")
+
+
 def _single_config(args) -> SimConfig:
     if args.k is None or args.n is None:
         args.parser.error("either --config or both --k and --n are required")
@@ -162,19 +168,8 @@ def _single_config(args) -> SimConfig:
         params = SchemeParams(args.k, args.n)
     except ShardcastError as exc:
         args.parser.error(str(exc))
-    return SimConfig(
-        params=params,
-        m_devices=args.nodes,
-        scanners=args.scanners,
-        t_share=args.t_share,
-        adv_interval=args.adv_interval,
-        loss_rate=args.loss_rate,
-        scan_mode=args.scan_mode,
-        horizon=args.horizon,
-        seed=_resolve_seed(args),
-        trials=args.trials if args.trials is not None else 1,
-        recon_mode=args.recon_mode,
-    )
+    given = {name: getattr(args, name) for name in _SIM_FIELDS if getattr(args, name) is not None}
+    return SimConfig(params, seed=_resolve_seed(args), **given)
 
 
 def cmd_simulate(args) -> int:
@@ -290,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
         if not needs_config:
             p.add_argument("--k", type=int)
             p.add_argument("--n", type=int)
-            p.add_argument("--nodes", type=int, default=1, help="device count")
-            p.add_argument("--scanners", type=int, default=1)
-            p.add_argument("--t-share", type=float, default=5.0)
-            p.add_argument("--adv-interval", type=float, default=1.0)
-            p.add_argument("--loss-rate", type=float, default=0.0)
-            p.add_argument("--scan-mode", default="continuous")
+            p.add_argument("--nodes", type=int, dest="m_devices", help="device count")
+            p.add_argument("--scanners", type=int)
+            p.add_argument("--t-share", type=float)
+            p.add_argument("--adv-interval", type=float)
+            p.add_argument("--loss-rate", type=float)
+            p.add_argument("--scan-mode")
             p.add_argument("--horizon", type=float)
-            p.add_argument("--recon-mode", choices=RECON_MODES, default="cycle")
+            p.add_argument("--recon-mode", choices=RECON_MODES)
 
     p = subs.add_parser("analyze", help="exposure report for a sighting log")
     p.add_argument("--input", required=True, help="sighting log file")

@@ -55,3 +55,14 @@ class EmptyConfigList(ShardcastError):
 
 class InvalidScheme(ShardcastError):
     """Exposure scheme with k > n, k < 1, or slot length below one second."""
+
+
+class InvalidConfig(ShardcastError, ValueError):
+    """A simulation or broadcast setting outside its allowed range.
+
+    ``fields`` names the settings involved, the one to point at first.
+    """
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernel
-from .errors import InvalidParams
+from .errors import InvalidConfig, InvalidParams
 from .identity import identifier_verify
 from .identity import Share
 from .rng import RandomSource
@@ -117,6 +117,8 @@ class Reconstructor:
         group_by_mac: bool = False,
         max_share_age: float | None = None,
     ):
+        if max_tries is not None and max_tries < 1:
+            raise InvalidConfig("max_tries must be at least 1", "max_tries")
         self.params = params
         self.max_tries = max_tries
         self.group_by_mac = group_by_mac

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, TextIO
 
 from .broadcaster import BroadcastConfig, Broadcaster, TICK_S, to_ticks
-from .errors import EmptyConfigList, ParseError
+from .errors import EmptyConfigList, InvalidConfig, InvalidParams, ParseError
 from .identity import identifier_new
 from .reconstructor import (
     ReceivedShare,
@@ -46,12 +46,13 @@ def scan_window_params(mode: str) -> tuple[float, float]:
     if mode in SCAN_MODES:
         return SCAN_MODES[mode]
     if mode.startswith("custom:"):
-        parts = mode.split(":")
-        if len(parts) == 3:
-            window, interval = float(parts[1]), float(parts[2])
-            if 0 < window <= interval:
-                return (window, interval)
-    raise ValueError(f"unknown scan mode {mode!r}")
+        try:
+            window, interval = map(float, mode.removeprefix("custom:").split(":"))
+        except ValueError:  # not two numbers
+            window = interval = math.nan
+        if 0 < window <= interval < math.inf:
+            return (window, interval)
+    raise InvalidConfig(f"unknown scan mode {mode!r}", "scan_mode")
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,23 @@ class SimConfig:
     eviction: str | float = "auto"  # "auto": expiry + one slot; "off"; or seconds
 
     def __post_init__(self):
-        if self.m_devices < 1 or self.scanners < 1 or self.trials < 1:
-            raise ValueError("m_devices, scanners and trials must be at least 1")
+        for name in ("m_devices", "scanners", "trials"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be at least 1", name)
         if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must lie in [0, 1)")
+            raise InvalidConfig("loss_rate must lie in [0, 1)", "loss_rate")
         if self.recon_mode not in RECON_MODES:
-            raise ValueError(f"unknown recon_mode {self.recon_mode!r}")
+            raise InvalidConfig(f"unknown recon_mode {self.recon_mode!r}", "recon_mode")
         scan_window_params(self.scan_mode)  # validates
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise InvalidConfig("horizon must be positive and finite", "horizon")
+        if self.max_tries is not None and self.max_tries < 1:
+            raise InvalidConfig("max_tries must be at least 1", "max_tries")
+        if self.eviction not in ("auto", "off") and (
+            isinstance(self.eviction, str) or not 0 <= self.eviction < math.inf
+        ):
+            raise InvalidConfig("eviction must be auto, off, or finite seconds >= 0", "eviction")
+        self.broadcast_config()  # the advertising rules
 
     @property
     def effective_horizon(self) -> float:
@@ -153,8 +162,9 @@ def run_simulation(config: SimConfig) -> SimResult:
             origin.setdefault(key, (dev, emission.generation))
     events.sort()
 
+    arrival = config.recon_mode == "arrival"
     budget = config.max_tries
-    if budget is None and config.recon_mode == "arrival":
+    if budget is None and arrival:
         budget = default_max_tries(config.params, m)
     recons = [
         Reconstructor(
@@ -171,7 +181,6 @@ def run_simulation(config: SimConfig) -> SimResult:
     slots_hit: list[set] = [set() for _ in range(config.scanners)]
     first_audible: dict[tuple[int, int], float] = {}
     resolved: dict[tuple[int, int], float] = {}
-    counted = [0] * config.scanners
     spurious = 0
     loss = config.loss_rate
 
@@ -188,21 +197,16 @@ def run_simulation(config: SimConfig) -> SimResult:
         resolved.setdefault((scanner, dev), hit.completed_at)
 
     def feed(scanner: int, emission, tick: int, dev: int) -> None:
+        now = tick * TICK_S
         received[scanner] += 1
         slots_hit[scanner].add((dev, emission.generation, emission.share.share_id))
-        key = (scanner, dev)
-        if key not in first_audible:
-            first_audible[key] = tick * TICK_S
-        entry = ReceivedShare(emission.share, emission.mac_token, tick * TICK_S)
+        first_audible.setdefault((scanner, dev), now)
         recon = recons[scanner]
-        if config.recon_mode == "arrival":
-            recon.on_share_received(entry)
-            while len(recon.recovered) > counted[scanner]:
-                note_recovery(scanner, recon.recovered[counted[scanner]])
-                counted[scanner] += 1
-        else:
-            recon.evict_stale(entry.received_at)
-            recon.add_share(entry)
+        recon.evict_stale(now)
+        if recon.add_share(ReceivedShare(emission.share, emission.mac_token, now)) and arrival:
+            hit = recon.run(now)
+            if hit is not None:
+                note_recovery(scanner, hit)
 
     def sweep_cycle(scanner: int, at: float) -> None:
         recon = recons[scanner]
@@ -219,22 +223,22 @@ def run_simulation(config: SimConfig) -> SimResult:
             if hit is None:
                 break
             note_recovery(scanner, hit)
-            counted[scanner] += 1
 
+    # Cycle boundaries not yet swept, latest first; none in arrival mode.
     cycle_ticks = to_ticks(n * config.t_share)
     horizon_ticks = to_ticks(horizon)
-    batch_ticks = sorted(
-        {t for t in range(cycle_ticks, horizon_ticks + 1, cycle_ticks)} | {horizon_ticks}
+    pending = [] if arrival else sorted(
+        set(range(cycle_ticks, horizon_ticks + 1, cycle_ticks)) | {horizon_ticks}, reverse=True
     )
-    next_batch = 0
+
+    def sweep_cycles(until_tick: int) -> None:
+        while pending and pending[-1] <= until_tick:
+            at = pending.pop() * TICK_S
+            for s in range(config.scanners):
+                sweep_cycle(s, at)
 
     for tick, dev, idx in events:
-        if config.recon_mode == "cycle":
-            while next_batch < len(batch_ticks) and batch_ticks[next_batch] <= tick:
-                at = batch_ticks[next_batch] * TICK_S
-                for s in range(config.scanners):
-                    sweep_cycle(s, at)
-                next_batch += 1
+        sweep_cycles(tick)
         emission = emissions_by_device[dev][idx]
         for s in range(config.scanners):
             if not continuous:
@@ -244,12 +248,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             if loss and rng.random() < loss:
                 continue
             feed(s, emission, tick, dev)
-    if config.recon_mode == "cycle":
-        while next_batch < len(batch_ticks):
-            at = batch_ticks[next_batch] * TICK_S
-            for s in range(config.scanners):
-                sweep_cycle(s, at)
-            next_batch += 1
+    sweep_cycles(horizon_ticks)
 
     total_tries = sum(r.total_tries for r in recons)
     recoveries = sum(len(r.recovered) for r in recons)
@@ -338,6 +337,23 @@ def write_results(rows: Iterable[SweepRow], out: TextIO) -> None:
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
+# Text converter for each scalar key; a key sets the SimConfig field of the
+# same name, and SimConfig checks the value.
+_CONVERTERS = {
+    "scanners": int,
+    "t_share": float,
+    "adv_interval": float,
+    "loss_rate": float,
+    "scan_mode": str,
+    "horizon": float,
+    "seed": int,
+    "trials": int,
+    "recon_mode": str,
+    "max_tries": int,
+    "group_by_mac": lambda text: _BOOL[text.lower()],
+    "eviction": lambda text: text if text in ("auto", "off") else float(text),
+}
+
 
 def _parse_schemes(text: str, line: int) -> list[tuple[int, int]]:
     out = []
@@ -353,47 +369,13 @@ def _parse_schemes(text: str, line: int) -> list[tuple[int, int]]:
     return out
 
 
-def _scan_mode(text: str) -> str:
-    scan_window_params(text)  # validates
-    return text
-
-
-def _recon_mode(text: str) -> str:
-    if text not in RECON_MODES:
-        raise ValueError(f"unknown recon_mode {text!r}")
-    return text
-
-
-def _eviction(text: str) -> str | float:
-    return text if text in ("auto", "off") else float(text)
-
-
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is below 1")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise ValueError(f"{value} is not positive and finite")
-    return value
-
-
-def _loss_rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{value} is outside [0, 1)")
-    return value
-
-
 def load_sim_configs(path: str) -> list[SimConfig]:
     """Parse a key=value config file into one config per scheme/nodes pair.
 
     ``scheme`` (k:n, comma list allowed) and ``nodes`` (comma list allowed)
-    expand as a grid in file order; every other key is a scalar.
+    expand as a grid in file order; every other key sets the SimConfig field
+    of the same name. A key the file leaves out takes SimConfig's default,
+    and a value SimConfig rejects raises ParseError at the line that set it.
     """
     raw: dict[str, tuple[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -406,8 +388,8 @@ def load_sim_configs(path: str) -> list[SimConfig]:
             key, value = text.split("=", 1)
             raw[key.strip().lower()] = (value.strip(), lineno)
 
-    def take(key: str, default=None):
-        return raw.pop(key, (default, 0))
+    def take(key: str):
+        return raw.pop(key, (None, 0))
 
     schemes_text, schemes_line = take("scheme")
     k_text, k_line = take("k")
@@ -415,71 +397,40 @@ def load_sim_configs(path: str) -> list[SimConfig]:
     if schemes_text is not None:
         schemes = _parse_schemes(schemes_text, schemes_line)
     elif k_text is not None and n_text is not None:
+        schemes_line = max(k_line, n_line)
         try:
             schemes = [(int(k_text), int(n_text))]
         except ValueError as exc:
-            raise ParseError(max(k_line, n_line), "k and n must be integers") from exc
+            raise ParseError(schemes_line, "k and n must be integers") from exc
     else:
         raise ParseError(1, "config needs either scheme=k:n or k= and n=")
+    lines = {"params": schemes_line}  # SimConfig field -> the line that set it
 
-    nodes_text, nodes_line = take("nodes", "1")
-    try:
-        nodes_list = [_count(x) for x in nodes_text.split(",")]
-    except ValueError as exc:
-        raise ParseError(nodes_line or 1, f"bad nodes list {nodes_text!r}") from exc
-
-    lines: dict[str, int] = {}
-
-    def scalar(key: str, default, conv):
-        value, lineno = take(key, None)
-        if value is None:
-            return default
-        lines[key] = lineno
+    nodes: list[dict[str, int]] = [{}]
+    nodes_text, nodes_line = take("nodes")
+    if nodes_text is not None:
+        lines["m_devices"] = nodes_line
         try:
-            return conv(value)
+            nodes = [{"m_devices": int(x)} for x in nodes_text.split(",")]
+        except ValueError as exc:
+            raise ParseError(nodes_line, f"bad nodes list {nodes_text!r}") from exc
+
+    values = {}
+    for key, (text, lineno) in raw.items():
+        if key not in _CONVERTERS:
+            raise ParseError(lineno, f"unknown config key {key!r}")
+        try:
+            values[key] = _CONVERTERS[key](text)
         except (ValueError, KeyError) as exc:
-            raise ParseError(lineno, f"bad value for {key}: {value!r}") from exc
+            raise ParseError(lineno, f"bad value for {key}: {text!r}") from exc
+        lines[key] = lineno
 
-    scanners = scalar("scanners", 1, _count)
-    t_share = scalar("t_share", 5.0, _positive)
-    adv_interval = scalar("adv_interval", 1.0, float)
-    loss_rate = scalar("loss_rate", 0.0, _loss_rate)
-    scan_mode = scalar("scan_mode", "continuous", _scan_mode)
-    horizon = scalar("horizon", None, _positive)
-    seed = scalar("seed", 0, int)
-    trials = scalar("trials", 1, _count)
-    recon_mode = scalar("recon_mode", "cycle", _recon_mode)
-    max_tries = scalar("max_tries", None, int)
-    group_by_mac = scalar("group_by_mac", False, lambda v: _BOOL[v.lower()])
-    eviction = scalar("eviction", "auto", _eviction)
-    if raw:
-        key = next(iter(raw))
-        raise ParseError(raw[key][1], f"unknown config key {key!r}")
-
-    configs = []
-    for k, n in schemes:
-        for nodes in nodes_list:
-            configs.append(
-                SimConfig(
-                    params=SchemeParams(k, n),
-                    m_devices=nodes,
-                    scanners=scanners,
-                    t_share=t_share,
-                    adv_interval=adv_interval,
-                    loss_rate=loss_rate,
-                    scan_mode=scan_mode,
-                    horizon=horizon,
-                    seed=seed,
-                    trials=trials,
-                    recon_mode=recon_mode,
-                    max_tries=max_tries,
-                    group_by_mac=group_by_mac,
-                    eviction=eviction,
-                )
-            )
     try:
-        configs[0].broadcast_config()  # the advertising-interval rules
-    except (ValueError, OverflowError) as exc:  # OverflowError: adv_interval = inf
-        line = lines.get("adv_interval") or lines["t_share"]
-        raise ParseError(line, f"bad adv_interval: {exc}") from exc
-    return configs
+        return [
+            SimConfig(SchemeParams(k, n), **node, **values) for k, n in schemes for node in nodes
+        ]
+    except InvalidParams as exc:
+        raise ParseError(lines["params"], str(exc)) from exc
+    except InvalidConfig as exc:
+        line = next((lines[f] for f in exc.fields if f in lines), lines["params"])
+        raise ParseError(line, str(exc)) from exc

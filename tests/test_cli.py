@@ -192,6 +192,19 @@ def test_simulate_single_run_row(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--horizon", "inf"], ["--horizon", "nan"], ["--t-share", "inf"],
+     ["--scan-mode", "custom:1:inf"]],
+)
+def test_simulate_rejects_non_finite_values(flags, capsys):
+    assert main(["simulate", "--k", "3", "--n", "5", "--seed", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
 def test_simulate_requires_scheme_or_config(capsys):
     with pytest.raises(SystemExit) as info:
         main(["simulate"])

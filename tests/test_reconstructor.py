@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from shardcast.errors import InvalidConfig
 from shardcast.identity import Share, identifier_new, identifier_verify
 from shardcast.reconstructor import (
     ReceivedShare,
@@ -114,6 +115,8 @@ def test_budget_limits_tries_per_run():
     if hit is None:
         assert len(recon.recovered) == 0
     assert recon.run(0.0, budget=0) is None
+    with pytest.raises(InvalidConfig):
+        Reconstructor(params, RandomSource(99), max_tries=0)
 
 
 def test_candidate_persists_across_invocations():

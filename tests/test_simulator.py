@@ -1,10 +1,13 @@
 """Tests for the broadcast/capture simulator and its sweep driver."""
 
+import dataclasses
 import io
+import math
 
 import pytest
 
-from shardcast import EmptyConfigList, ParseError, SchemeParams
+from shardcast import EmptyConfigList, InvalidConfig, InvalidParams, ParseError, SchemeParams
+from shardcast import cli
 from shardcast.simulator import (
     RESULTS_HEADER,
     SCAN_MODES,
@@ -72,6 +75,12 @@ def test_config_validation():
         {"horizon": 0.0},
         {"horizon": -5.0},
         {"scan_mode": "sometimes"},
+        {"horizon": math.inf},
+        {"t_share": math.inf},
+        {"eviction": -5},
+        {"max_tries": 0},
+        {"adv_interval": 0.001},
+        {"scan_mode": "custom:1:inf"},
     ):
         with pytest.raises(ValueError):
             SimConfig(params=params, **kwargs)
@@ -190,7 +199,7 @@ def test_loss_rate_thins_receptions():
         loss_rate=0.6,
         horizon=625.0,
         seed=5,
-        max_tries=0,
+        max_tries=1,  # the search barely runs; receptions do not depend on it
     )
     result = run_simulation(cfg)
     assert result.slot_instances == 10_000
@@ -211,7 +220,7 @@ def test_low_power_duty_cycle():
         scan_mode="low_power",
         horizon=500.0,
         seed=3,
-        max_tries=0,
+        max_tries=1,  # the search barely runs; receptions do not depend on it
     )
     result = run_simulation(cfg)
     assert result.emitted >= 100_000
@@ -227,7 +236,7 @@ def test_balanced_duty_cycle():
         scan_mode="balanced",
         horizon=100.0,
         seed=3,
-        max_tries=0,
+        max_tries=1,  # the search barely runs; receptions do not depend on it
     )
     result = run_simulation(cfg)
     assert sum(result.received) / result.emitted == pytest.approx(2 / 3, rel=0.02)
@@ -357,6 +366,16 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("scheme = 3:5\nadv_interval = 0.001\n", 2),
         ("scheme = 3:5\nadv_interval = inf\n", 2),
         ("scheme = 3:5\nhorizon = inf\n", 2),
+        ("scheme = 3:5\nmax_tries = 0\n", 2),
+        ("scheme = 3:5\nmax_tries = -4\n", 2),
+        ("scheme = 6:5\n", 1),
+        ("k = 6\nn = 5\n", 2),
+        ("scheme = 3:5\neviction = -5\n", 2),
+        ("scheme = 3:5\neviction = nan\n", 2),
+        ("scheme = 3:5\nscan_mode = custom:1:inf\n", 2),
+        ("scheme = 3:5\nt_share = nan\n", 2),
+        ("scheme = 3:5\nt_share = 0.5\n", 2),  # longer than the default adv_interval
+        ("scheme = 3:5\nadv_interval = 2\nt_share = 1\n", 2),
     ],
 )
 def test_load_config_errors(tmp_path, text, line):
@@ -365,3 +384,49 @@ def test_load_config_errors(tmp_path, text, line):
     with pytest.raises(ParseError) as info:
         load_sim_configs(str(path))
     assert info.value.line == line
+
+
+# One out-of-range value per config key. Every SimConfig field is a key of
+# the same name except params (scheme, or k and n) and m_devices (nodes).
+# seed and group_by_mac have no range, so theirs fail text conversion.
+BAD_VALUES = {
+    "scheme": "6:5",
+    "nodes": "0",
+    "scanners": "0",
+    "t_share": "0",
+    "adv_interval": "0.001",
+    "loss_rate": "-0.1",
+    "scan_mode": "custom:2:1",
+    "horizon": "nan",
+    "seed": "1.5",
+    "trials": "0",
+    "recon_mode": "batchy",
+    "max_tries": "-1",
+    "group_by_mac": "maybe",
+    "eviction": "inf",
+}
+
+
+def test_simconfig_owns_every_default_and_rule(tmp_path, monkeypatch):
+    # Settings left out of a file or off the command line take SimConfig's
+    # own defaults.
+    path = tmp_path / "scheme.cfg"
+    path.write_text("scheme = 3:5\n")
+    assert load_sim_configs(str(path)) == [SimConfig(SchemeParams(3, 5))]
+    built = []
+    monkeypatch.setattr(cli, "sweep", lambda configs: built.extend(configs) or [])
+    assert cli.main(["simulate", "--k", "3", "--n", "5", "--seed", "4"]) == 0
+    assert built == [SimConfig(SchemeParams(3, 5), seed=4)]
+
+    # Each key's range rule is the class's: the loader reports the class's
+    # error at the line that set the value.
+    fields = {f.name for f in dataclasses.fields(SimConfig)} - {"params", "m_devices"}
+    assert set(BAD_VALUES) == fields | {"scheme", "nodes"}
+    for key, bad in BAD_VALUES.items():
+        scheme = "" if key == "scheme" else "scheme = 3:5"
+        path.write_text(f"# the bad value is on line 3\n{scheme}\n{key} = {bad}\n")
+        with pytest.raises(ParseError) as info:
+            load_sim_configs(str(path))
+        assert info.value.line == 3, key
+        if key not in ("seed", "group_by_mac"):
+            assert isinstance(info.value.__cause__, (InvalidConfig, InvalidParams)), key
