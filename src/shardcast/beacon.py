@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadBeaconCode, BadLength, BadShareId
+from .errors import BadBeaconCode, BadLength, BadShareId, InvalidConfig
 from .identity import IDENTIFIER_LEN, Share
 
 BEACON_CODE = 0xBEAC
@@ -40,7 +40,7 @@ def encode_frame(
     if not 1 <= share.share_id <= 255:
         raise BadShareId(f"share id {share.share_id} outside 1..255")
     if not -128 <= ref_rssi <= 127:
-        raise ValueError(f"ref_rssi {ref_rssi} outside a signed byte")
+        raise InvalidConfig(f"ref_rssi {ref_rssi} outside a signed byte", "ref_rssi")
     return b"".join(
         (
             mfg_id.to_bytes(2, "little"),

@@ -51,8 +51,13 @@ class BroadcastConfig:
             )
         if self.adv_interval > self.t_share + 1e-9:
             raise InvalidConfig("adv_interval must not exceed t_share", "adv_interval", "t_share")
-        if self.expiry is not None and self.expiry <= 0:
-            raise InvalidConfig("expiry must be positive", "expiry")
+        # The rules above keep t_share and adv_interval above one tick; expiry
+        # needs its own check.
+        if self.expiry is not None and not (
+            0 < self.expiry < math.inf and to_ticks(self.expiry) >= 1
+        ):
+            raise InvalidConfig(f"expiry must be finite and cover at least one {TICK_S} s tick",
+                                "expiry")
 
     @property
     def effective_expiry(self) -> float:
@@ -94,8 +99,6 @@ class Broadcaster:
         self._t_share_ticks = to_ticks(config.t_share)
         self._adv_ticks = to_ticks(config.adv_interval)
         self._expiry_ticks = to_ticks(config.effective_expiry)
-        if self._t_share_ticks <= 0 or self._adv_ticks <= 0 or self._expiry_ticks <= 0:
-            raise ValueError("t_share, adv_interval and expiry must each cover at least one tick")
         start_tick = to_ticks(start)
         self._next_emit = start_tick
         self.generation = -1

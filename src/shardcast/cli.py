@@ -155,10 +155,14 @@ def _config_overrides(args, configs: list[SimConfig]) -> list[SimConfig]:
     return out
 
 
-# The simulate flags that set a SimConfig field, by field name; a flag left
-# out takes SimConfig's default.
-_SIM_FIELDS = ("m_devices", "scanners", "t_share", "adv_interval", "loss_rate", "scan_mode",
-               "horizon", "trials", "recon_mode")
+# The simulate flags that describe the scenario, by SimConfig field name; a
+# flag left out takes SimConfig's default. A config file sets all of them.
+_SCENARIO_FIELDS = ("m_devices", "scanners", "t_share", "adv_interval", "loss_rate", "scan_mode",
+                    "horizon", "recon_mode")
+
+
+def _flag(field: str) -> str:
+    return "--nodes" if field == "m_devices" else "--" + field.replace("_", "-")
 
 
 def _single_config(args) -> SimConfig:
@@ -168,13 +172,18 @@ def _single_config(args) -> SimConfig:
         params = SchemeParams(args.k, args.n)
     except ShardcastError as exc:
         args.parser.error(str(exc))
-    given = {name: getattr(args, name) for name in _SIM_FIELDS if getattr(args, name) is not None}
+    given = {name: getattr(args, name) for name in (*_SCENARIO_FIELDS, "trials")
+             if getattr(args, name) is not None}
     return SimConfig(params, seed=_resolve_seed(args), **given)
 
 
 def cmd_simulate(args) -> int:
     """Serves both ``simulate`` and ``sweep``: run the configs, write the TSV."""
     if args.config:
+        clash = [_flag(name) for name in ("k", "n", *_SCENARIO_FIELDS)
+                 if getattr(args, name, None) is not None]
+        if clash:
+            args.parser.error(f"--config sets the scenario; drop {', '.join(clash)}")
         configs = _config_overrides(args, load_sim_configs(args.config))
     else:
         configs = [_single_config(args)]

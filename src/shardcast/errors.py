@@ -58,7 +58,7 @@ class InvalidScheme(ShardcastError):
 
 
 class InvalidConfig(ShardcastError, ValueError):
-    """A simulation or broadcast setting outside its allowed range.
+    """A setting or argument outside its allowed range.
 
     ``fields`` names the settings involved, the one to point at first.
     """

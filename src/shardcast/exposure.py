@@ -32,7 +32,7 @@ from itertools import chain, islice
 from operator import le, sub
 from typing import Iterable, TextIO
 
-from .errors import EmptyFile, InvalidScheme, ParseError
+from .errors import EmptyFile, InvalidConfig, InvalidScheme, ParseError
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def read_sightings(path: str) -> SightingLog:
 
 def _check_gap(max_gap: int) -> None:
     if max_gap < 0:
-        raise ValueError("max_gap must be non-negative")
+        raise InvalidConfig("max_gap must be non-negative", "max_gap")
 
 
 def extract_encounters(
@@ -287,7 +287,7 @@ def compute_scheme_exposure(
     seconds per distinct observed slot.
     """
     if align not in ("grid", "device"):
-        raise ValueError(f"unknown alignment {align!r}")
+        raise InvalidConfig(f"unknown alignment {align!r}", "align")
     log = _as_log(sightings)
     anchors: dict[str, int] = {}
     if align == "device":

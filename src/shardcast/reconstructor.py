@@ -125,6 +125,7 @@ class Reconstructor:
         self.max_share_age = max_share_age
         self._rng = rng
         self._pool: list[ReceivedShare] = []
+        self._oldest = math.inf  # smallest received_at in the pool
         self._seen: set[tuple[str, int, bytes]] = set()
         self._id_counts: dict[int, int] = {}
         self._cand: list[ReceivedShare] = []
@@ -138,12 +139,15 @@ class Reconstructor:
 
     def _pool_add(self, entry: ReceivedShare) -> None:
         self._pool.append(entry)
+        if entry.received_at < self._oldest:
+            self._oldest = entry.received_at
         sid = entry.share.share_id
         self._id_counts[sid] = self._id_counts.get(sid, 0) + 1
 
     def _pool_remove(self, gone: set[int]) -> None:
         """Drop pool entries by identity (set of id() values)."""
         kept = []
+        oldest = math.inf
         for entry in self._pool:
             if id(entry) in gone:
                 sid = entry.share.share_id
@@ -154,7 +158,10 @@ class Reconstructor:
                     del self._id_counts[sid]
             else:
                 kept.append(entry)
+                if entry.received_at < oldest:
+                    oldest = entry.received_at
         self._pool = kept
+        self._oldest = oldest
 
     def _clear_candidate(self) -> None:
         self._cand.clear()
@@ -175,20 +182,22 @@ class Reconstructor:
         if self.max_share_age is None:
             return 0
         cutoff = now - self.max_share_age
+        if self._oldest >= cutoff:  # nothing is stale
+            return 0
         gone = {id(entry) for entry in self._pool if entry.received_at < cutoff}
-        if gone:
-            self._drop_from_candidate(gone)
-            for entry in self._pool:
-                if id(entry) in gone:
-                    self._seen.discard(entry.key)
-            self._pool_remove(gone)
+        self._drop_from_candidate(gone)
+        for entry in self._pool:
+            if id(entry) in gone:
+                self._seen.discard(entry.key)
+        self._pool_remove(gone)
         return len(gone)
 
     def add_share(self, entry: ReceivedShare) -> bool:
         """Admit one reception into the pool; False when it is a duplicate."""
-        if entry.key in self._seen:
+        key = entry.key
+        if key in self._seen:
             return False
-        self._seen.add(entry.key)
+        self._seen.add(key)
         self._pool_add(entry)
         return True
 

@@ -51,6 +51,11 @@ def scan_window_params(mode: str) -> tuple[float, float]:
         except ValueError:  # not two numbers
             window = interval = math.nan
         if 0 < window <= interval < math.inf:
+            # The simulator scans whole ticks, and interval >= window.
+            if to_ticks(window) < 1:
+                raise InvalidConfig(
+                    f"scan window {window} s is shorter than one {TICK_S} s tick", "scan_mode"
+                )
             return (window, interval)
     raise InvalidConfig(f"unknown scan mode {mode!r}", "scan_mode")
 
@@ -196,14 +201,16 @@ def run_simulation(config: SimConfig) -> SimResult:
             return
         resolved.setdefault((scanner, dev), hit.completed_at)
 
-    def feed(scanner: int, emission, tick: int, dev: int) -> None:
-        now = tick * TICK_S
+    def feed(scanner: int, entry: ReceivedShare, emission, dev: int) -> None:
+        now = entry.received_at
         received[scanner] += 1
-        slots_hit[scanner].add((dev, emission.generation, emission.share.share_id))
-        first_audible.setdefault((scanner, dev), now)
         recon = recons[scanner]
         recon.evict_stale(now)
-        if recon.add_share(ReceivedShare(emission.share, emission.mac_token, now)) and arrival:
+        if not recon.add_share(entry):
+            return  # this scanner admitted the same key earlier and noted it then
+        slots_hit[scanner].add((dev, emission.generation, emission.share.share_id))
+        first_audible.setdefault((scanner, dev), now)
+        if arrival:
             hit = recon.run(now)
             if hit is not None:
                 note_recovery(scanner, hit)
@@ -240,6 +247,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     for tick, dev, idx in events:
         sweep_cycles(tick)
         emission = emissions_by_device[dev][idx]
+        entry = None  # one immutable entry per heard emission, shared by its scanners
         for s in range(config.scanners):
             if not continuous:
                 offset = (tick - scanner_phases[s]) % interval_ticks
@@ -247,7 +255,10 @@ def run_simulation(config: SimConfig) -> SimResult:
                     continue
             if loss and rng.random() < loss:
                 continue
-            feed(s, emission, tick, dev)
+            if entry is None:
+                # No propagation delay: a reception's time is the emission tick.
+                entry = ReceivedShare(emission.share, emission.mac_token, tick * TICK_S)
+            feed(s, entry, emission, dev)
     sweep_cycles(horizon_ticks)
 
     total_tries = sum(r.total_tries for r in recons)

@@ -12,7 +12,7 @@ from shardcast.beacon import (
     decode_frame,
     encode_frame,
 )
-from shardcast.errors import BadBeaconCode, BadLength, BadShareId
+from shardcast.errors import BadBeaconCode, BadLength, BadShareId, InvalidConfig
 from shardcast.identity import Share
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "beacon_frames.txt"
@@ -84,6 +84,12 @@ def test_signed_rssi_edges():
         encode_frame(Share(1, bytes(16)), ref_rssi=-129)
     with pytest.raises(ValueError):
         encode_frame(Share(1, bytes(16)), ref_rssi=128)
+
+
+def test_ref_rssi_range_error_is_typed():
+    with pytest.raises(InvalidConfig) as info:
+        encode_frame(Share(1, bytes(16)), ref_rssi=1000)
+    assert info.value.fields == ("ref_rssi",)
 
 
 def test_share_id_zero_rejected_both_ways():

@@ -13,6 +13,7 @@ from shardcast.broadcaster import (
     Broadcaster,
     to_ticks,
 )
+from shardcast.errors import InvalidConfig
 from shardcast.identity import identifier_new
 from shardcast.rng import RandomSource
 from shardcast.shamir import SchemeParams, recover
@@ -45,6 +46,15 @@ def test_config_validation():
         BroadcastConfig(params, expiry=0.0)
     with pytest.raises(ValueError):
         BroadcastConfig(params, t_share=0)
+
+
+def test_expiry_must_cover_a_tick():
+    params = SchemeParams(3, 5)
+    assert make_device(expiry=TICK_S).emissions_before(0.01)  # one tick is enough
+    for expiry in (0.0001, math.inf, math.nan):  # under one tick, or no tick count
+        with pytest.raises(InvalidConfig) as info:
+            BroadcastConfig(params, expiry=expiry)
+        assert info.value.fields == ("expiry",)
 
 
 def test_one_share_per_slot_walk():

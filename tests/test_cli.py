@@ -235,6 +235,32 @@ def test_simulate_bad_config_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_config_rejects_scenario_flags(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("scheme = 3:5\nnodes = 2\n")
+    for flags, named in (
+        (["--nodes", "7", "--loss-rate", "0.5"], "--nodes, --loss-rate"),
+        (["--k", "2"], "--k"),
+        (["--scanners", "2", "--t-share", "2", "--adv-interval", "1", "--scan-mode",
+          "balanced", "--horizon", "9", "--recon-mode", "arrival", "--n", "4"],
+         "--n, --scanners, --t-share, --adv-interval, --scan-mode, --horizon, --recon-mode"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", str(cfg), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+    # --seed, --trials and --out still override a config file.
+    out_path = tmp_path / "results.tsv"
+    argv = ["simulate", "--config", str(cfg), "--seed", "3", "--trials", "2",
+            "--out", str(out_path)]
+    assert main(argv) == 0
+    assert main(["simulate", "--k", "3", "--n", "5", "--nodes", "2", "--seed", "3",
+                 "--trials", "2"]) == 0
+    assert out_path.read_text() == capsys.readouterr().out
+
+
 def test_sweep_writes_results_file(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("scheme = 2:3\nnodes = 1,2\nt_share = 1\ntrials = 2\nseed = 4\n")

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import oracles
-from shardcast import EmptyFile, InvalidScheme, ParseError
+from shardcast import EmptyFile, InvalidConfig, InvalidScheme, ParseError
 from shardcast.exposure import (
     ENCOUNTER_HEADER,
     EXPOSURE_HEADER,
@@ -343,6 +343,16 @@ def test_encounter_gap_must_be_non_negative():
         extract_encounters(rows, -1)
     with pytest.raises(ValueError):
         encounter_statistics(rows, [3, -1])
+
+
+def test_argument_errors_are_typed():
+    rows = as_sightings(make_rows(2, count=5))
+    with pytest.raises(InvalidConfig) as info:
+        encounter_statistics(rows, [-7])
+    assert info.value.fields == ("max_gap",)
+    with pytest.raises(InvalidConfig) as info:
+        compute_scheme_exposure(rows, ExposureScheme(2, 2, 5), align="")
+    assert info.value.fields == ("align",)
 
 
 def test_encounter_statistics_rows():

@@ -252,3 +252,43 @@ def test_incompatible_pool_does_not_loop_forever():
         recon.add_share(entry)
     assert recon.run(0.0, budget=10_000) is None
     assert recon.total_tries == 0
+
+
+def test_stale_shortcut_tracks_the_oldest_entry_through_removals():
+    params = SchemeParams(3, 5)
+    rng = RandomSource(63)
+    identifier, a = device_shares(rng, params, "aa:aa:aa:aa:aa:aa")
+    _, b = device_shares(rng, params, "bb:bb:bb:bb:bb:bb")
+    recon = Reconstructor(params, RandomSource(13), max_share_age=10.0)
+
+    def admit(entry, t):
+        assert recon.add_share(ReceivedShare(entry.share, entry.mac_token, t))
+
+    def times():
+        return sorted(entry.received_at for entry in recon.pool_entries())
+
+    def check_oldest():
+        # evict_stale returns at once when this time is not stale, so it must
+        # never be newer than the oldest entry, nor lag behind a removal.
+        assert recon._oldest == min(times(), default=math.inf)
+
+    # Out of order: the oldest entries arrive last.
+    for entry, t in ((b[0], 8.0), (a[0], 4.0), (b[1], 6.0), (a[1], 2.0), (a[2], 1.0)):
+        admit(entry, t)
+    check_oldest()
+
+    # A recovery consumes device a's shares, the oldest among them.
+    hit = recon.run(9.0)
+    assert hit is not None and hit.identifier == identifier
+    assert times() == [6.0, 8.0]
+    check_oldest()
+    assert recon.evict_stale(16.0) == 0  # cutoff 6.0: nothing is older
+
+    # An eviction removes the oldest; each call evicts exactly the entries
+    # older than its cutoff.
+    admit(b[2], 7.5)
+    for now, evicted, left in ((17.0, 1, [7.5, 8.0]), (17.5, 0, [7.5, 8.0]),
+                               (18.0, 1, [8.0]), (18.0, 0, [8.0]), (30.0, 1, [])):
+        assert recon.evict_stale(now) == evicted
+        assert times() == left
+        check_oldest()

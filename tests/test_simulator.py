@@ -1,7 +1,9 @@
 """Tests for the broadcast/capture simulator and its sweep driver."""
 
 import dataclasses
+import hashlib
 import io
+import itertools
 import math
 
 import pytest
@@ -53,7 +55,7 @@ def test_scan_window_params_custom():
 
 @pytest.mark.parametrize(
     "mode",
-    ["idle", "custom:3:1", "custom:0:1", "custom:1", "custom:a:b", ""],
+    ["idle", "custom:3:1", "custom:0:1", "custom:1", "custom:a:b", "", "custom:0.0001:1"],
 )
 def test_scan_window_params_rejects(mode):
     with pytest.raises(ValueError):
@@ -156,6 +158,37 @@ def test_determinism():
     row_a, _ = run_trials(sweep_cfg(3, 5, 3, 7, trials=10))
     row_b, _ = run_trials(sweep_cfg(3, 5, 3, 7, trials=10))
     assert row_a == row_b
+
+
+# At 0.1 s advertising every share is heard several times per slot, so these
+# runs take the duplicate-reception path; at (2, 3) with 1 s slots a 0.5 s
+# eviction drops a share mid-slot and its next beacon re-admits it. The
+# digests were recorded before duplicate receptions were made O(1).
+DUPLICATE_PATH_DIGESTS = {
+    (2, 3, 1.0, 15.0): "c472aff4260f24a469c9e16aa58df8b7d84744c6b727c20803ce21e79155c0ca",
+    (3, 5, 0.2, 10.0): "3594186e5c61ad4dd733beff9d47adc7ee0f7eb4ad2936801406359990f49629",
+}
+
+
+@pytest.mark.parametrize("k, n, t_share, horizon", list(DUPLICATE_PATH_DIGESTS))
+def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
+    digest = hashlib.sha256()
+    duplicates = 0
+    for recon_mode, loss, eviction, scan, grouped in itertools.product(
+        ("cycle", "arrival"), (0.0, 0.4), ("auto", "off", 0.5),
+        ("continuous", "balanced"), (False, True),
+    ):
+        result = run_simulation(SimConfig(
+            SchemeParams(k, n), m_devices=2, scanners=2, t_share=t_share, adv_interval=0.1,
+            loss_rate=loss, scan_mode=scan, horizon=horizon, seed=1, recon_mode=recon_mode,
+            group_by_mac=grouped, eviction=eviction,
+        ))
+        assert result.spurious == 0
+        duplicates += sum(result.received) - sum(result.slots_received)
+        digest.update(repr((result.recoveries, result.total_tries, result.latencies,
+                            result.received, result.slots_received, result.reports)).encode())
+    assert duplicates > 0
+    assert digest.hexdigest() == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
 
 
 # -- attempt-count statistics --------------------------------------------
@@ -373,6 +406,7 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("scheme = 3:5\neviction = -5\n", 2),
         ("scheme = 3:5\neviction = nan\n", 2),
         ("scheme = 3:5\nscan_mode = custom:1:inf\n", 2),
+        ("scheme = 3:5\nscan_mode = custom:0.0001:1\n", 2),  # window under one tick
         ("scheme = 3:5\nt_share = nan\n", 2),
         ("scheme = 3:5\nt_share = 0.5\n", 2),  # longer than the default adv_interval
         ("scheme = 3:5\nadv_interval = 2\nt_share = 1\n", 2),
