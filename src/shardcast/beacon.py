@@ -9,7 +9,7 @@ share id in byte 0, the 16 body bytes in 1..16, and zero padding in 17..19.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadBeaconCode, BadLength, BadShareId, InvalidConfig
 from .identity import IDENTIFIER_LEN, Share
@@ -22,8 +22,7 @@ DEFAULT_REF_RSSI = -59
 _PAD = BEACON_ID_LEN - 1 - IDENTIFIER_LEN
 
 
-@dataclass(frozen=True)
-class BeaconFrame:
+class BeaconFrame(NamedTuple):
     mfg_id: int
     share: Share
     ref_rssi: int = DEFAULT_REF_RSSI

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidConfig
 from .identity import ShareSet, Share, shareset_generate
@@ -39,11 +40,12 @@ class BroadcastConfig:
     def __post_init__(self):
         if not 0 < self.t_share < math.inf:
             raise InvalidConfig(f"t_share {self.t_share} is not positive and finite", "t_share")
-        ticks = self.adv_interval / TICK_S
-        if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
-            raise InvalidConfig(
-                f"adv_interval {self.adv_interval} is not a multiple of {TICK_S} s", "adv_interval"
-            )
+        # Every layer counts slots and advertising in whole ticks.
+        for name in ("t_share", "adv_interval"):
+            value = getattr(self, name)
+            ticks = value / TICK_S
+            if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
+                raise InvalidConfig(f"{name} {value} is not a multiple of {TICK_S} s", name)
         if not ADV_MIN_S - 1e-9 <= self.adv_interval <= ADV_MAX_S + 1e-9:
             raise InvalidConfig(
                 f"adv_interval {self.adv_interval} outside [{ADV_MIN_S}, {ADV_MAX_S}] s",
@@ -64,8 +66,7 @@ class BroadcastConfig:
         return self.params.n * self.t_share if self.expiry is None else self.expiry
 
 
-@dataclass(frozen=True)
-class BeaconEmission:
+class BeaconEmission(NamedTuple):
     t: float
     share: Share
     mac_token: str
@@ -121,35 +122,40 @@ class Broadcaster:
         self._queue = order
         self._queue_pos = 1
         self._current = order[0]
-        self._created_tick = at_tick
+        self._expiry_at = at_tick + self._expiry_ticks
         self._slot_end = at_tick + self._t_share_ticks
+        self._boundary = min(self._slot_end, self._expiry_at)
         self.mac_token = _mac_token(self._rng)
 
     def _advance_to(self, tick: int) -> None:
         """Catch slot, cycle, and expiry boundaries up to ``tick``."""
-        while True:
-            expiry_at = self._created_tick + self._expiry_ticks
-            boundary = min(self._slot_end, expiry_at)
-            if tick < boundary:
-                return
-            if boundary == expiry_at:
+        while tick >= self._boundary:
+            boundary = self._boundary
+            if boundary == self._expiry_at or self._queue_pos == len(self._queue):
                 self._regenerate(boundary)
-            elif self._queue_pos < len(self._queue):
+            else:
                 self._current = self._queue[self._queue_pos]
                 self._queue_pos += 1
                 self._slot_end += self._t_share_ticks
-            else:
-                self._regenerate(boundary)
+                self._boundary = min(self._slot_end, self._expiry_at)
 
     def tick(self, now: float) -> list[BeaconEmission]:
         """Emit one beacon per advertising boundary elapsed up to ``now``."""
         limit = to_ticks(now)
         out = []
-        while self._next_emit <= limit:
-            te = self._next_emit
-            self._advance_to(te)
-            out.append(BeaconEmission(te * TICK_S, self._current, self.mac_token, self.generation))
-            self._next_emit = te + self._adv_ticks
+        append = out.append
+        adv = self._adv_ticks
+        te = self._next_emit
+        while te <= limit:
+            if te >= self._boundary:
+                self._advance_to(te)
+            # Share, address and generation hold until the next boundary.
+            share, mac, generation = self._current, self.mac_token, self.generation
+            stop = min(self._boundary, limit + 1)
+            while te < stop:
+                append(BeaconEmission(te * TICK_S, share, mac, generation))
+                te += adv
+        self._next_emit = te
         return out
 
     def emissions_before(self, horizon: float) -> list[BeaconEmission]:

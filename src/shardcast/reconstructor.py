@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import kernel
 from .errors import InvalidConfig, InvalidParams
@@ -27,8 +28,7 @@ from .rng import RandomSource
 from .shamir import SchemeParams
 
 
-@dataclass(frozen=True)
-class ReceivedShare:
+class ReceivedShare(NamedTuple):
     share: Share
     mac_token: str
     received_at: float
@@ -208,18 +208,20 @@ class Reconstructor:
     # -- the search loop -------------------------------------------------
 
     def _compatible(self, entry: ReceivedShare) -> bool:
-        if entry.share.share_id in self._cand_ids:
+        share = entry.share
+        if share.share_id in self._cand_ids:
             return False
-        if entry.share.body in self._cand_bodies:
+        if share.body in self._cand_bodies:
             return False
         if self.group_by_mac and self._cand and entry.mac_token != self._cand[0].mac_token:
             return False
         return True
 
     def _grow(self, entry: ReceivedShare) -> None:
+        share = entry.share
         self._cand.append(entry)
-        self._cand_ids.add(entry.share.share_id)
-        self._cand_bodies.add(entry.share.body)
+        self._cand_ids.add(share.share_id)
+        self._cand_bodies.add(share.body)
 
     def _submit(self, now: float, tries: int) -> RecoveredIdentity | None:
         xs = bytes(entry.share.share_id for entry in self._cand)
@@ -239,15 +241,36 @@ class Reconstructor:
         self.recovered.append(hit)
         return hit
 
+    def _pool_can_recover(self) -> bool:
+        """True when some compatible k-subset of the pool verifies."""
+        k = self.params.k
+        for group in combinations(self._pool, k):
+            ids = bytes(entry.share.share_id for entry in group)
+            if len(set(ids)) < k or len({entry.share.body for entry in group}) < k:
+                continue
+            if self.group_by_mac and len({entry.mac_token for entry in group}) > 1:
+                continue
+            packed = b"".join(entry.share.body for entry in group)
+            if identifier_verify(kernel.recover_secret(ids, packed)):
+                return True
+        return False
+
     def run(self, now: float, budget: int | None = None) -> RecoveredIdentity | None:
         """One reconstruction run: search until a recovery, a dead pool, or
-        the attempt budget; at most one identifier comes out."""
+        the attempt budget; at most one identifier comes out.
+
+        An unbudgeted run always returns: once its failed tries reach the
+        number of k-subsets of the pool, it checks every compatible subset
+        once, without drawing, and stops when none verifies.
+        """
         if budget is None:
             budget = self.max_tries
         k = self.params.k
         tries = 0
         rejects = 0
         dead_ends = 0
+        # The pool only changes on a hit, which ends the run.
+        exhaust_at = math.comb(len(self._pool), k) if budget is None else -1
         while budget is None or tries < budget:
             if len(self._pool) < k or len(self._id_counts) < k:
                 break
@@ -257,6 +280,8 @@ class Reconstructor:
                 hit = self._submit(now, tries)
                 if hit is not None:
                     return hit
+                if tries == exhaust_at and not self._pool_can_recover():
+                    break
                 continue
             entry = self._pool[self._rng.randrange(len(self._pool))]
             if self._compatible(entry):

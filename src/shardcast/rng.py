@@ -17,21 +17,18 @@ class RandomSource:
             self._rng: random.Random = random.SystemRandom()
         else:
             self._rng = random.Random(seed)
+        # The generator's own method, with no wrapper call: the simulator
+        # draws once per emission and scanner.
+        self.random = self._rng.random
 
     def randbytes(self, n: int) -> bytes:
         return self._rng.getrandbits(8 * n).to_bytes(n, "big") if n else b""
-
-    def randbyte(self) -> int:
-        return self._rng.getrandbits(8)
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)
 
     def getrandbits(self, bits: int) -> int:
         return self._rng.getrandbits(bits)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def shuffle(self, seq: list) -> None:
         self._rng.shuffle(seq)

@@ -154,6 +154,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     events: list[tuple[int, int, int]] = []  # (tick, device, emission index)
     emissions_by_device: list[list] = []
     origin: dict[tuple[str, int, bytes], tuple[int, int]] = {}
+    slot_instances: set[tuple[int, int, int]] = set()  # (device, generation, share id)
     for dev in range(m):
         dev_rng = RandomSource(device_seeds[dev])
         identifier = identifier_new(dev_rng)
@@ -161,10 +162,14 @@ def run_simulation(config: SimConfig) -> SimResult:
         device = Broadcaster(identifier, bcast, dev_rng, start=device_phases[dev])
         emitted = device.emissions_before(horizon)
         emissions_by_device.append(emitted)
+        share = None
         for idx, emission in enumerate(emitted):
             events.append((to_ticks(emission.t), dev, idx))
-            key = (emission.mac_token, emission.share.share_id, emission.share.body)
-            origin.setdefault(key, (dev, emission.generation))
+            if emission.share is not share:  # a new slot: every slot airs one share
+                share = emission.share
+                key = (emission.mac_token, share.share_id, share.body)
+                origin.setdefault(key, (dev, emission.generation))
+                slot_instances.add((dev, emission.generation, share.share_id))
     events.sort()
 
     arrival = config.recon_mode == "arrival"
@@ -201,20 +206,6 @@ def run_simulation(config: SimConfig) -> SimResult:
             return
         resolved.setdefault((scanner, dev), hit.completed_at)
 
-    def feed(scanner: int, entry: ReceivedShare, emission, dev: int) -> None:
-        now = entry.received_at
-        received[scanner] += 1
-        recon = recons[scanner]
-        recon.evict_stale(now)
-        if not recon.add_share(entry):
-            return  # this scanner admitted the same key earlier and noted it then
-        slots_hit[scanner].add((dev, emission.generation, emission.share.share_id))
-        first_audible.setdefault((scanner, dev), now)
-        if arrival:
-            hit = recon.run(now)
-            if hit is not None:
-                note_recovery(scanner, hit)
-
     def sweep_cycle(scanner: int, at: float) -> None:
         recon = recons[scanner]
         recon.evict_stale(at)
@@ -238,27 +229,42 @@ def run_simulation(config: SimConfig) -> SimResult:
         set(range(cycle_ticks, horizon_ticks + 1, cycle_ticks)) | {horizon_ticks}, reverse=True
     )
 
-    def sweep_cycles(until_tick: int) -> None:
+    def sweep_cycles(until_tick: int) -> int:
+        """Sweep every boundary up to ``until_tick``; returns the next one,
+        or a tick after every event."""
         while pending and pending[-1] <= until_tick:
             at = pending.pop() * TICK_S
             for s in range(config.scanners):
                 sweep_cycle(s, at)
+        return pending[-1] if pending else horizon_ticks + 1
 
+    scanners = [(s, scanner_phases[s], recons[s]) for s in range(config.scanners)]
+    draw = rng.random
+    next_cycle = 0  # the first event looks up the first boundary
     for tick, dev, idx in events:
-        sweep_cycles(tick)
+        if tick >= next_cycle:
+            next_cycle = sweep_cycles(tick)
         emission = emissions_by_device[dev][idx]
         entry = None  # one immutable entry per heard emission, shared by its scanners
-        for s in range(config.scanners):
-            if not continuous:
-                offset = (tick - scanner_phases[s]) % interval_ticks
-                if offset >= window_ticks:
-                    continue
-            if loss and rng.random() < loss:
+        for s, phase, recon in scanners:
+            if not continuous and (tick - phase) % interval_ticks >= window_ticks:
+                continue
+            if loss and draw() < loss:
                 continue
             if entry is None:
                 # No propagation delay: a reception's time is the emission tick.
-                entry = ReceivedShare(emission.share, emission.mac_token, tick * TICK_S)
-            feed(s, entry, emission, dev)
+                now = tick * TICK_S
+                entry = ReceivedShare(emission.share, emission.mac_token, now)
+            received[s] += 1
+            recon.evict_stale(now)
+            if not recon.add_share(entry):
+                continue  # this scanner admitted the same key earlier and noted it then
+            slots_hit[s].add((dev, emission.generation, emission.share.share_id))
+            first_audible.setdefault((s, dev), now)
+            if arrival:
+                hit = recon.run(now)
+                if hit is not None:
+                    note_recovery(s, hit)
     sweep_cycles(horizon_ticks)
 
     total_tries = sum(r.total_tries for r in recons)
@@ -279,8 +285,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         spurious=spurious,
         emitted=len(events),
         received=received,
-        slot_instances=len({(d, e.generation, e.share.share_id)
-                            for d, ems in enumerate(emissions_by_device) for e in ems}),
+        slot_instances=len(slot_instances),
         slots_received=[len(s) for s in slots_hit],
         identifiers=identifiers,
         resolved_devices=resolved_devices,

@@ -46,6 +46,13 @@ def test_decode_matches_golden_fields():
         assert frame.mfg_reserved == reserved
 
 
+def test_decoded_frame_is_immutable():
+    frame = decode_frame(encode_frame(Share(9, bytes(range(16)))))
+    for field in ("mfg_id", "share", "ref_rssi", "mfg_reserved"):
+        with pytest.raises(AttributeError):
+            setattr(frame, field, None)
+
+
 def test_layout_fields_in_place():
     frame = encode_frame(Share(9, bytes(range(16))))
     # Company id is little-endian in the first two bytes.

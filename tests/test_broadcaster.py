@@ -1,5 +1,6 @@
 """Broadcast scheduling: slots, cycles, expiry, and address rotation."""
 
+import hashlib
 import math
 import re
 
@@ -46,6 +47,16 @@ def test_config_validation():
         BroadcastConfig(params, expiry=0.0)
     with pytest.raises(ValueError):
         BroadcastConfig(params, t_share=0)
+
+
+def test_t_share_must_lie_on_the_tick_grid():
+    params = SchemeParams(3, 5)
+    BroadcastConfig(params, t_share=1.000625, adv_interval=1.0)  # 1601 ticks
+    for t_share in (1.0003, 5.0001):
+        with pytest.raises(InvalidConfig) as info:
+            BroadcastConfig(params, t_share=t_share, adv_interval=1.0)
+        assert info.value.fields == ("t_share",)
+        assert "0.000625" in str(info.value)
 
 
 def test_expiry_must_cover_a_tick():
@@ -183,6 +194,67 @@ def test_emissions_before_is_strict():
     device = make_device(seed=2, t_share=1.0, adv=1.0)
     emissions = device.emissions_before(3.0)
     assert [e.t for e in emissions] == [0.0, 1.0, 2.0]
+
+
+# sha256 of every emission and of the stream's next draw, recorded before
+# the broadcaster skipped its boundary check between boundaries. Keys:
+# (k, n, t_share, adv_interval, expiry, start, horizon).
+EMISSION_DIGESTS = {
+    (3, 5, 5.0, 1.0, None, 0.0, 60.0):
+        "27d18d33e6cc67e1509ef71ec9a03611b7ce103d1e61c8ccba36269984c4f878",
+    (3, 5, 1.0, 0.1, 2.5, 0.3125, 30.0):  # expiry shorter than the 5 s cycle
+        "2b1e19747b625209c26db40e51931d81a48f520e48bbee451366b77c41e081cb",
+    (2, 3, 1.0, 0.02, 7.0, 0.0, 20.0):  # longer than the 3 s cycle
+        "d7a663ed817e844b0f1342dafca61ad553c1fb5a27e6d769dc30c809334d0c8d",
+    (4, 6, 0.2, 0.02, None, 0.05, 10.0):
+        "f2ac1ec09def5588246c8edfec11f2e6e3a87fe365043dda16347e5fc2b24895",
+    (2, 2, 0.5, 0.5, 0.5, 0.125, 20.0):  # one slot per generation
+        "1458c500d67abe16127e148c877bebd61c0c9faae1ee3c9439c3f95acce3bb0f",
+    (5, 6, 10.0, 1.0, 30.0, 3.0, 300.0):
+        "32ba63ca56720d0164e156258fba617a35c7e8ca3a071a3d1c773190ce05c690",
+    (3, 5, 2.0, 0.1, 0.03, 0.0, 5.0):  # several generations between beacons
+        "f7befbf1b3ad20d77c37be7cd2ead22ff60b75b51a5fd3d8432ddb1aa2936a6e",
+}
+
+
+@pytest.mark.parametrize("case", list(EMISSION_DIGESTS))
+def test_emission_schedule_is_pinned(case):
+    k, n, t_share, adv, expiry, start, horizon = case
+    rng = RandomSource(7)
+    config = BroadcastConfig(SchemeParams(k, n), t_share, adv, expiry)
+    device = Broadcaster(identifier_new(rng), config, rng, start=start)
+    digest = hashlib.sha256()
+    for e in device.emissions_before(horizon):
+        row = (e.t, e.share.share_id, e.share.body, e.mac_token, e.generation)
+        digest.update(repr(row).encode())
+    digest.update(repr((device.generation, rng.getrandbits(64))).encode())
+    assert digest.hexdigest() == EMISSION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", list(EMISSION_DIGESTS))
+def test_tick_in_pieces_matches_one_call(case):
+    k, n, t_share, adv, expiry, start, horizon = case
+    config = BroadcastConfig(SchemeParams(k, n), t_share, adv, expiry)
+    whole = make_device(seed=11, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry, start=start)
+    expected = whole.emissions_before(horizon)
+    device = make_device(seed=11, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry, start=start)
+    steps = RandomSource(len(expected))
+    last = (to_ticks(horizon) - 1) * TICK_S
+    now, got = 0.0, []
+    while now < last:
+        # Steps from under one tick to past several boundaries, and a look back.
+        now = min(last, now + steps.random() * 3 * config.effective_expiry)
+        got += device.tick(now)
+        got += device.tick(now - steps.random())
+    got += device.tick(last)
+    assert got == expected
+
+
+def test_emissions_are_immutable():
+    emission = make_device().emissions_before(1.0)[0]
+    for field in ("t", "share", "mac_token", "generation"):
+        with pytest.raises(AttributeError):
+            setattr(emission, field, None)
 
 
 def test_sighting_row_projection():

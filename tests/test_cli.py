@@ -205,6 +205,13 @@ def test_simulate_rejects_non_finite_values(flags, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_simulate_rejects_t_share_off_the_tick_grid(capsys):
+    assert main(["simulate", "--k", "3", "--n", "5", "--seed", "1", "--t-share", "1.0003"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: t_share 1.0003 is not a multiple of 0.000625 s"]
+
+
 def test_simulate_requires_scheme_or_config(capsys):
     with pytest.raises(SystemExit) as info:
         main(["simulate"])

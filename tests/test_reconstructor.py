@@ -1,9 +1,17 @@
 """Scanner-side reconstruction search: recovery, consumption, budgets."""
 
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import shardcast
 
 from shardcast.errors import InvalidConfig
 from shardcast.identity import Share, identifier_new, identifier_verify
@@ -252,6 +260,76 @@ def test_incompatible_pool_does_not_loop_forever():
         recon.add_share(entry)
     assert recon.run(0.0, budget=10_000) is None
     assert recon.total_tries == 0
+
+
+UNSATISFIABLE_POOL = textwrap.dedent("""
+    from shardcast.identity import identifier_new, shareset_generate
+    from shardcast.reconstructor import ReceivedShare, Reconstructor
+    from shardcast.rng import RandomSource
+    from shardcast.shamir import SchemeParams
+
+    params = SchemeParams(3, 5)
+    rng = RandomSource(1)
+    id_a, id_b = identifier_new(rng), identifier_new(rng)
+    a = shareset_generate(id_a, params, 25.0, rng).shares
+    b = shareset_generate(id_b, params, 25.0, rng).shares
+    recon = Reconstructor(params, RandomSource(2))
+    found = []
+    for mac, shares, ids in (("a", a, (1, 2)), ("b", b, (2, 3))):
+        for sid in ids:
+            found += recon.on_share_received(ReceivedShare(shares[sid - 1], mac, 0.0))
+    # Four entries, three distinct ids: every candidate fills, none verifies,
+    # and the run stops after C(4, 3) tries.
+    assert found == [] and recon.total_tries == 4, (found, recon.total_tries)
+    # Device a's third share completes it.
+    assert recon.on_share_received(ReceivedShare(a[2], "a", 1.0)) == [id_a]
+    print("returned")
+""")
+
+
+def test_unbudgeted_search_on_an_unsatisfiable_pool_returns():
+    # A child process, so that a hang fails this test instead of stalling the suite.
+    src = str(Path(shardcast.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", UNSATISFIABLE_POOL], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "returned\n"
+
+
+# Hits and tries of unbudgeted runs on a satisfiable pool, recorded before the
+# exhaustive check existed; 14 of the 60 seeds pass C(9, 3) = 84 tries.
+PAST_THRESHOLD_DIGEST = "ab4587e6fd2e117ea391e62a08cd98097e3c8b2fcbcf6d5e6b70349122769557"
+
+
+def test_satisfiable_pool_searched_past_the_threshold_is_unchanged():
+    params = SchemeParams(3, 5)
+    rng = RandomSource(64)
+    devices = [device_shares(rng, params, mac) for mac in ("aa", "bb", "cc", "dd")]
+    # Only device aa is complete; the others leave two shares each.
+    (identifier, a), (_, b), (_, c), (_, d) = devices
+    pool = a[:3] + b[:2] + c[2:4] + d[3:5]
+    limit = math.comb(len(pool), params.k)
+    digest = hashlib.sha256()
+    past = 0
+    for seed in range(60):
+        recon = Reconstructor(params, RandomSource(seed))
+        for entry in pool:
+            recon.add_share(entry)
+        hit = recon.run(0.0)
+        assert hit is not None and hit.identifier == identifier
+        past += recon.total_tries > limit
+        digest.update(f"{seed} {hit.identifier.hex()} {recon.total_tries}\n".encode())
+    assert past > 0
+    assert digest.hexdigest() == PAST_THRESHOLD_DIGEST
+
+
+def test_received_share_is_immutable():
+    entry = ReceivedShare(Share(1, bytes(16)), "aa", 0.0)
+    for field in ("share", "mac_token", "received_at"):
+        with pytest.raises(AttributeError):
+            setattr(entry, field, None)
+    assert entry.key == ("aa", 1, bytes(16))
 
 
 def test_stale_shortcut_tracks_the_oldest_entry_through_removals():

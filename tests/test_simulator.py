@@ -10,6 +10,7 @@ import pytest
 
 from shardcast import EmptyConfigList, InvalidConfig, InvalidParams, ParseError, SchemeParams
 from shardcast import cli
+from shardcast.reconstructor import Reconstructor
 from shardcast.simulator import (
     RESULTS_HEADER,
     SCAN_MODES,
@@ -189,6 +190,24 @@ def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
                             result.received, result.slots_received, result.reports)).encode())
     assert duplicates > 0
     assert digest.hexdigest() == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
+
+
+def test_cycle_sweep_sees_only_earlier_receptions(monkeypatch):
+    # With one beacon per 20 ms slot, two of these 128 devices start at phase
+    # 0, so some emissions fall exactly on a cycle boundary. The sweep at a
+    # boundary runs before the receptions of that tick.
+    late = []
+    run = Reconstructor.run
+
+    def checked_run(recon, now, budget=None):
+        late.extend(e for e in recon.pool_entries() if e.received_at >= now)
+        return run(recon, now, budget)
+
+    monkeypatch.setattr(Reconstructor, "run", checked_run)
+    for seed in range(64):
+        run_simulation(SimConfig(SchemeParams(2, 3), m_devices=2, t_share=0.02,
+                                 adv_interval=0.02, horizon=0.5, seed=seed))
+    assert late == []
 
 
 # -- attempt-count statistics --------------------------------------------
@@ -409,6 +428,7 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("scheme = 3:5\nscan_mode = custom:0.0001:1\n", 2),  # window under one tick
         ("scheme = 3:5\nt_share = nan\n", 2),
         ("scheme = 3:5\nt_share = 0.5\n", 2),  # longer than the default adv_interval
+        ("scheme = 3:5\nt_share = 1.0003\n", 2),  # off the 625 us tick grid
         ("scheme = 3:5\nadv_interval = 2\nt_share = 1\n", 2),
     ],
 )
