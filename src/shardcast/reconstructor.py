@@ -125,6 +125,7 @@ class Reconstructor:
         self.max_share_age = max_share_age
         self._rng = rng
         self._pool: list[ReceivedShare] = []
+        self._shares: list[Share] = []  # entry.share for each pool entry, same order
         self._oldest = math.inf  # smallest received_at in the pool
         self._seen: set[tuple[str, int, bytes]] = set()
         self._id_counts: dict[int, int] = {}
@@ -133,24 +134,28 @@ class Reconstructor:
         self._cand_bodies: set[bytes] = set()
         self.recovered: list[RecoveredIdentity] = []
         self.total_tries = 0
+        self.total_draws = 0  # pool indices drawn by the search
         self.shares_consumed = 0
 
     # -- pool bookkeeping ------------------------------------------------
 
     def _pool_add(self, entry: ReceivedShare) -> None:
+        share = entry.share
         self._pool.append(entry)
+        self._shares.append(share)
         if entry.received_at < self._oldest:
             self._oldest = entry.received_at
-        sid = entry.share.share_id
+        sid = share.share_id
         self._id_counts[sid] = self._id_counts.get(sid, 0) + 1
 
     def _pool_remove(self, gone: set[int]) -> None:
         """Drop pool entries by identity (set of id() values)."""
         kept = []
+        kept_shares = []
         oldest = math.inf
-        for entry in self._pool:
+        for entry, share in zip(self._pool, self._shares):
             if id(entry) in gone:
-                sid = entry.share.share_id
+                sid = share.share_id
                 left = self._id_counts[sid] - 1
                 if left:
                     self._id_counts[sid] = left
@@ -158,9 +163,11 @@ class Reconstructor:
                     del self._id_counts[sid]
             else:
                 kept.append(entry)
+                kept_shares.append(share)
                 if entry.received_at < oldest:
                     oldest = entry.received_at
         self._pool = kept
+        self._shares = kept_shares
         self._oldest = oldest
 
     def _clear_candidate(self) -> None:
@@ -217,12 +224,6 @@ class Reconstructor:
             return False
         return True
 
-    def _grow(self, entry: ReceivedShare) -> None:
-        share = entry.share
-        self._cand.append(entry)
-        self._cand_ids.add(share.share_id)
-        self._cand_bodies.add(share.body)
-
     def _submit(self, now: float, tries: int) -> RecoveredIdentity | None:
         xs = bytes(entry.share.share_id for entry in self._cand)
         packed = b"".join(entry.share.body for entry in self._cand)
@@ -265,44 +266,75 @@ class Reconstructor:
         """
         if budget is None:
             budget = self.max_tries
+        elif budget < 1:
+            return None
         k = self.params.k
+        pool = self._pool
+        size = len(pool)
+        # The pool only changes on a hit, which ends the run.
+        if size < k or len(self._id_counts) < k:
+            return None
+        exhaust_at = math.comb(size, k) if budget is None else -1
+        reject_limit = 4 * size + 16
+        # Random.randrange(size) without its call layers: draw bit_length
+        # bits and redraw while the value is out of range. The index stream
+        # is the same; a test pins it against randrange.
+        getrandbits = self._rng.getrandbits
+        bits = size.bit_length()
+        shares = self._shares
+        cand = self._cand
+        cand_ids = self._cand_ids
+        cand_bodies = self._cand_bodies
+        group_by_mac = self.group_by_mac
+        filled = len(cand)
         tries = 0
+        draws = 0
         rejects = 0
         dead_ends = 0
-        # The pool only changes on a hit, which ends the run.
-        exhaust_at = math.comb(len(self._pool), k) if budget is None else -1
-        while budget is None or tries < budget:
-            if len(self._pool) < k or len(self._id_counts) < k:
-                break
-            if len(self._cand) == k:
+        hit = None
+        while True:
+            if filled == k:
                 tries += 1
-                self.total_tries += 1
-                hit = self._submit(now, tries)
-                if hit is not None:
-                    return hit
+                hit = self._submit(now, tries)  # clears the candidate
+                if hit is not None or tries == budget:
+                    break
                 if tries == exhaust_at and not self._pool_can_recover():
                     break
+                filled = 0
                 continue
-            entry = self._pool[self._rng.randrange(len(self._pool))]
-            if self._compatible(entry):
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            draws += 1
+            share = shares[index]
+            sid = share.share_id
+            body = share.body
+            if not (sid in cand_ids or body in cand_bodies or (
+                    group_by_mac and filled and pool[index].mac_token != cand[0].mac_token)):
                 # Note: dead_ends stays; a fresh candidate always accepts
                 # its first draw, so resetting here would disable the
                 # two-dead-ends exit and an unbudgeted run could spin
                 # forever on an unsatisfiable pool.
-                self._grow(entry)
+                cand.append(pool[index])
+                cand_ids.add(sid)
+                cand_bodies.add(body)
+                filled += 1
                 rejects = 0
                 continue
             rejects += 1
-            if rejects > 4 * len(self._pool) + 16:
+            if rejects > reject_limit:
                 # Strong evidence the candidate cannot grow; confirm by scan.
                 rejects = 0
-                if any(self._compatible(other) for other in self._pool):
+                if any(self._compatible(other) for other in pool):
                     continue
                 self._clear_candidate()
+                filled = 0
                 dead_ends += 1
                 if dead_ends >= 2:
                     break
-        return None
+        self.total_tries += tries
+        self.total_draws += draws
+        return hit
 
     def on_share_received(self, entry: ReceivedShare) -> list[bytes]:
         """Admit one reception and, when it is new, run the search.

@@ -17,18 +17,16 @@ class RandomSource:
             self._rng: random.Random = random.SystemRandom()
         else:
             self._rng = random.Random(seed)
-        # The generator's own method, with no wrapper call: the simulator
-        # draws once per emission and scanner.
+        # The generator's own methods, with no wrapper call: the simulator
+        # draws once per emission and scanner, the search once per pool draw.
         self.random = self._rng.random
+        self.getrandbits = self._rng.getrandbits
 
     def randbytes(self, n: int) -> bytes:
         return self._rng.getrandbits(8 * n).to_bytes(n, "big") if n else b""
 
     def randrange(self, n: int) -> int:
         return self._rng.randrange(n)
-
-    def getrandbits(self, bits: int) -> int:
-        return self._rng.getrandbits(bits)
 
     def shuffle(self, seq: list) -> None:
         self._rng.shuffle(seq)

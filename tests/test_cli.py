@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,20 @@ GOLDEN_ANALYZE = Path(__file__).resolve().parent / "fixtures" / "golden_analyze_
 
 SECRET = "00112233445566778899aabbccddeeff"
 
+# Child processes import this checkout's package, installed or not.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))),
+}
 
-def run_cli(*argv):
+
+def run_cli(*argv, input=None):
     return subprocess.run(
         [sys.executable, "-m", "shardcast", *argv],
+        input=input,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -109,7 +118,7 @@ def test_split_recover_pipe_with_check():
         f" | head -3 | {sys.executable} -m shardcast recover --check"
     )
     proc = subprocess.run(
-        ["sh", "-c", pipeline], capture_output=True, text=True
+        ["sh", "-c", pipeline], capture_output=True, text=True, env=CHILD_ENV
     )
     assert proc.returncode == 0
     recovered = bytes.fromhex(proc.stdout.strip())
@@ -152,12 +161,7 @@ def test_decode_prints_fields(capsys):
 
 
 def test_decode_reads_stdin():
-    proc = subprocess.run(
-        [sys.executable, "-m", "shardcast", "decode"],
-        input="1801beac01000102030405060708090a0b0c0d0e0f000000c500\n",
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("decode", input="1801beac01000102030405060708090a0b0c0d0e0f000000c500\n")
     assert proc.returncode == 0
     assert "share_id: 1" in proc.stdout
 

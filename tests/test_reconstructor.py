@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -370,3 +371,128 @@ def test_stale_shortcut_tracks_the_oldest_entry_through_removals():
         assert recon.evict_stale(now) == evicted
         assert times() == left
         check_oldest()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1000, 2**40 + 3])
+def test_index_draws_follow_randrange(seed):
+    # The search draws pool indices with getrandbits, the way CPython's
+    # Random.randrange(n) does; a change to randrange upstream must fail here
+    # rather than silently change every search. Pools of 2 to 300 entries (a
+    # search never draws from fewer than k >= 2); no pair of them verifies.
+    params = SchemeParams(2, 5)
+    rng = RandomSource(66)
+    entries = [ReceivedShare(Share(1 + i % 5, rng.randbytes(16)), f"{i}", 0.0)
+               for i in range(300)]
+    for n in range(2, 301):
+        source = RandomSource(seed)
+        generator = source.getrandbits
+        drawn = []
+
+        def recording(bits):
+            value = generator(bits)
+            drawn.append((bits, value))
+            return value
+
+        source.getrandbits = recording
+        recon = Reconstructor(params, source)
+        for entry in entries[:n]:
+            recon.add_share(entry)
+        assert recon.run(0.0, budget=2) is None
+        reference = random.Random(seed)
+        indices = [value for bits, value in drawn if value < n]
+        assert len(indices) == recon.total_draws > 0
+        assert {bits for bits, _ in drawn} == {n.bit_length()}
+        assert indices == [reference.randrange(n) for _ in indices]
+        assert generator(64) == reference.getrandbits(64)
+
+
+@pytest.mark.parametrize("group_by_mac", [False, True])
+def test_total_draws_counts_index_draws(group_by_mac):
+    # Replaying total_draws randrange calls per run, at the pool size the run
+    # started with, must leave a reference generator where the search's is.
+    params = SchemeParams(3, 5)
+    rng = RandomSource(65)
+    recon = Reconstructor(params, RandomSource(14), group_by_mac=group_by_mac)
+    for d in range(4):
+        _, entries = device_shares(rng, params, f"{d:02x}")
+        for entry in entries[:5 if d < 2 else 2]:
+            recon.add_share(entry)
+    reference = random.Random(14)
+    for budget in (1, 7, None, None, None):
+        size, before = recon.pool_size, recon.total_draws
+        recon.run(0.0, budget)
+        for _ in range(recon.total_draws - before):
+            reference.randrange(size)
+    assert recon.total_draws > 0 and len(recon.recovered) == 2
+    assert recon._rng.getrandbits(64) == reference.getrandbits(64)
+
+
+def _plant(recon, entry):
+    """Put ``entry`` in the candidate, as a run that drew it would.
+
+    Every run ends with an empty candidate (a try or a dead end clears it,
+    and a run on a dead pool draws nothing), so a candidate carried into a
+    run has to be planted.
+    """
+    recon._cand.append(entry)
+    recon._cand_ids.add(entry.share.share_id)
+    recon._cand_bodies.add(entry.share.body)
+
+
+def _search_digest(check_state) -> str:
+    """Hash of every search outcome over a grid of pools, budgets and modes.
+
+    Each scenario hears three devices twice over, with evictions between
+    runs and a planted candidate at the start of the second pass; device
+    ``aa`` is heard in full when ``complete``, every other device leaves
+    k - 1 shares. ``check_state(recon)`` runs after every change to the pool.
+    """
+    digest = hashlib.sha256()
+    for k, n in ((2, 3), (3, 5), (4, 6), (6, 7)):
+        params = SchemeParams(k, n)
+        for complete, budget, group_by_mac in itertools.product(
+                (False, True), (None, 1, 7, 130), (False, True)):
+            label = f"{k} {n} {complete} {budget} {group_by_mac}"
+            rng = RandomSource(k * 100 + n)
+            heard = []
+            for mac in ("aa", "bb", "cc"):
+                _, entries = device_shares(rng, params, mac)
+                rng.shuffle(entries)
+                heard.append(entries[:n if complete and mac == "aa" else k - 1])
+            # The complete device comes last, so a window can hold all of it.
+            heard = heard[1] + heard[2] + heard[0]
+            search_rng = RandomSource(len(heard) + 17 * budget if budget else 5)
+            recon = Reconstructor(params, search_rng, group_by_mac=group_by_mac,
+                                  max_share_age=0.25 * (n + 2))
+            now = 0.0
+            for round_ in range(2):
+                for step, entry in enumerate(heard):
+                    now += 0.25
+                    if recon.evict_stale(now):
+                        check_state(recon)
+                    if recon.add_share(ReceivedShare(entry.share, entry.mac_token, now)):
+                        check_state(recon)
+                    if round_ and not step and recon.pool_size:
+                        _plant(recon, recon.pool_entries()[-1])
+                    hit = recon.run(now, budget)
+                    if hit is not None:
+                        check_state(recon)
+                        keys = [source.key for source in hit.sources]
+                        digest.update(f"{label} hit {hit.identifier.hex()} {hit.completed_at}"
+                                      f" {hit.tries} {keys}\n".encode())
+                    cand = [(e.mac_token, e.share.share_id) for e in recon._cand]
+                    digest.update(f"{label} {recon.total_tries} {recon.pool_size}"
+                                  f" {cand}\n".encode())
+            digest.update(f"{label} next {search_rng.getrandbits(64)}\n".encode())
+    return digest.hexdigest()
+
+
+# Recorded before the draw loop was inlined into Reconstructor.run.
+SEARCH_DIGEST = "0fb321d67d50d6d6d70b136c7d11f0df68688d9400d38f7c9a0bb6022448c406"
+
+
+def test_search_outcomes_are_pinned():
+    def check_state(recon):
+        assert recon._shares == [entry.share for entry in recon._pool]
+
+    assert _search_digest(check_state) == SEARCH_DIGEST
