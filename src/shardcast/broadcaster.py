@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import InvalidConfig
@@ -75,6 +77,24 @@ class BeaconEmission(NamedTuple):
     def sighting_row(self, scanner_id: str, rssi: int) -> tuple[int, str, str, int]:
         """Project to the sighting-log schema (timestamp, device, scanner, rssi)."""
         return (int(self.t), self.mac_token, scanner_id, rssi)
+
+
+class BeaconRun(NamedTuple):
+    """Consecutive beacons of one share: one at every advertising interval
+    in ``range(first_tick, end_tick, adv_ticks)``."""
+
+    first_tick: int
+    end_tick: int
+    share: Share
+    mac_token: str
+    generation: int
+
+
+# Build a BeaconEmission or a BeaconRun from a tuple of its fields in C; a
+# NamedTuple's own __new__ is a Python function, and the schedule makes one
+# per beacon or run.
+_new_emission = partial(tuple.__new__, BeaconEmission)
+_new_run = partial(tuple.__new__, BeaconRun)
 
 
 def _mac_token(rng: RandomSource) -> str:
@@ -139,9 +159,12 @@ class Broadcaster:
                 self._slot_end += self._t_share_ticks
                 self._boundary = min(self._slot_end, self._expiry_at)
 
-    def tick(self, now: float) -> list[BeaconEmission]:
-        """Emit one beacon per advertising boundary elapsed up to ``now``."""
-        limit = to_ticks(now)
+    def _runs(self, limit: int) -> list[BeaconRun]:
+        """The beacons after the last one emitted, up to tick ``limit``, as runs.
+
+        One run per stretch of beacons that carry the same share; within a
+        call, consecutive runs carry different shares and no run is empty.
+        """
         out = []
         append = out.append
         adv = self._adv_ticks
@@ -150,16 +173,26 @@ class Broadcaster:
             if te >= self._boundary:
                 self._advance_to(te)
             # Share, address and generation hold until the next boundary.
-            share, mac, generation = self._current, self.mac_token, self.generation
-            stop = min(self._boundary, limit + 1)
-            while te < stop:
-                append(BeaconEmission(te * TICK_S, share, mac, generation))
-                te += adv
+            end = min(self._boundary, limit + 1)
+            append(_new_run((te, end, self._current, self.mac_token, self.generation)))
+            te += (end - te + adv - 1) // adv * adv  # the first beacon at or after end
         self._next_emit = te
+        return out
+
+    def runs_before(self, horizon: float) -> list[BeaconRun]:
+        """Every beacon with t strictly below ``horizon`` seconds, as runs."""
+        return self._runs(to_ticks(horizon) - 1)
+
+    def tick(self, now: float) -> list[BeaconEmission]:
+        """Emit one beacon per advertising boundary elapsed up to ``now``."""
+        adv = self._adv_ticks
+        out = []
+        for first, end, share, mac, generation in self._runs(to_ticks(now)):
+            times = map(TICK_S.__mul__, range(first, end, adv))
+            out += map(_new_emission, zip(times, repeat(share), repeat(mac), repeat(generation)))
         return out
 
     def emissions_before(self, horizon: float) -> list[BeaconEmission]:
         """Every emission with t strictly below ``horizon`` seconds."""
         limit = to_ticks(horizon) - 1
         return self.tick(limit * TICK_S)
-

@@ -211,8 +211,8 @@ def _parse_gaps(text: str, parser) -> list[int]:
 
 def cmd_analyze(args) -> int:
     gaps = _parse_gaps(args.gaps, args.parser) if args.gaps else None
-    sightings = read_sightings(args.input)
     scheme = ExposureScheme(args.k, args.n, args.t)
+    sightings = read_sightings(args.input)
     report = compute_scheme_exposure(sightings, scheme, align=args.align)
     out, close = _open_out(args.out)
     try:

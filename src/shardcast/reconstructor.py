@@ -8,9 +8,10 @@ whose embedded checksum verifies is a real identifier: its shares are
 consumed and the run stops. A failed checksum discards the candidate and
 the search continues, bounded by a per-run attempt budget.
 
-The candidate survives between runs; shares can be evicted by age; and
-receptions are deduplicated on (address token, share id, body) so hearing
-the same advertisement many times adds nothing to the pool.
+Every run ends with an empty candidate: a try, a dead end and a hit all
+clear it. Shares can be evicted by age, and receptions are deduplicated on
+(address token, share id, body), so hearing the same advertisement many
+times adds nothing to the pool.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, TextIO
 
-from .broadcaster import BroadcastConfig, Broadcaster, TICK_S, to_ticks
+from .broadcaster import BeaconRun, BroadcastConfig, Broadcaster, TICK_S, to_ticks
 from .errors import EmptyConfigList, InvalidConfig, InvalidParams, ParseError
 from .identity import identifier_new
 from .reconstructor import (
@@ -148,29 +149,26 @@ def run_simulation(config: SimConfig) -> SimResult:
     ]
     recon_rngs = [rng.derive() for _ in range(config.scanners)]
 
-    # Ground truth: emissions per device, and a reverse map from the dedup
-    # key of every share on air to its (device, generation).
+    # Ground truth: a reverse map from the dedup key of every share on air
+    # to its (device, generation), and every slot that aired. One event per
+    # beacon; a beacon's run carries its share.
     identifiers: list[bytes] = []
-    events: list[tuple[int, int, int]] = []  # (tick, device, emission index)
-    emissions_by_device: list[list] = []
+    events: list[tuple[int, int, BeaconRun]] = []  # (tick, device, run)
     origin: dict[tuple[str, int, bytes], tuple[int, int]] = {}
     slot_instances: set[tuple[int, int, int]] = set()  # (device, generation, share id)
+    adv_ticks = to_ticks(config.adv_interval)
     for dev in range(m):
         dev_rng = RandomSource(device_seeds[dev])
         identifier = identifier_new(dev_rng)
         identifiers.append(identifier)
         device = Broadcaster(identifier, bcast, dev_rng, start=device_phases[dev])
-        emitted = device.emissions_before(horizon)
-        emissions_by_device.append(emitted)
-        share = None
-        for idx, emission in enumerate(emitted):
-            events.append((to_ticks(emission.t), dev, idx))
-            if emission.share is not share:  # a new slot: every slot airs one share
-                share = emission.share
-                key = (emission.mac_token, share.share_id, share.body)
-                origin.setdefault(key, (dev, emission.generation))
-                slot_instances.add((dev, emission.generation, share.share_id))
-    events.sort()
+        for run in device.runs_before(horizon):  # every slot airs one share
+            share = run.share
+            origin.setdefault((run.mac_token, share.share_id, share.body), (dev, run.generation))
+            slot_instances.add((dev, run.generation, share.share_id))
+            events.extend(zip(range(run.first_tick, run.end_tick, adv_ticks),
+                              repeat(dev), repeat(run)))
+    events.sort()  # (tick, device) is unique, so runs are never compared
 
     arrival = config.recon_mode == "arrival"
     budget = config.max_tries
@@ -238,33 +236,51 @@ def run_simulation(config: SimConfig) -> SimResult:
                 sweep_cycle(s, at)
         return pending[-1] if pending else horizon_ticks + 1
 
-    scanners = [(s, scanner_phases[s], recons[s]) for s in range(config.scanners)]
+    # A reception of the run a scanner last admitted from a device, while
+    # that admission is not stale, is a repeat: the pool holds its share, or
+    # held it until a recovery consumed it. It skips the reconstructor, and
+    # its eviction waits for the next reader of the pool: an admission, a
+    # cycle sweep, or the catch-up after the loop. Eviction only grows with
+    # time, so each reader sees the pool that evicting on every beacon leaves.
+    age = config.eviction_age()
+    heard_at = [-math.inf] * config.scanners  # the last repeat
+    # Per scanner, by device: the run last admitted, and when.
+    scanners = [
+        (s, scanner_phases[s], recons[s], [None] * m, [0.0] * m) for s in range(config.scanners)
+    ]
     draw = rng.random
     next_cycle = 0  # the first event looks up the first boundary
-    for tick, dev, idx in events:
+    for tick, dev, run in events:
         if tick >= next_cycle:
             next_cycle = sweep_cycles(tick)
-        emission = emissions_by_device[dev][idx]
-        entry = None  # one immutable entry per heard emission, shared by its scanners
-        for s, phase, recon in scanners:
+        # No propagation delay: a reception's time is the emission tick.
+        now = tick * TICK_S
+        cutoff = -math.inf if age is None else now - age  # as evict_stale(now) has it
+        entry = None  # one immutable entry per admitted emission, shared by its scanners
+        for s, phase, recon, held, held_at in scanners:
             if not continuous and (tick - phase) % interval_ticks >= window_ticks:
                 continue
             if loss and draw() < loss:
                 continue
-            if entry is None:
-                # No propagation delay: a reception's time is the emission tick.
-                now = tick * TICK_S
-                entry = ReceivedShare(emission.share, emission.mac_token, now)
             received[s] += 1
+            if held[dev] is run and held_at[dev] >= cutoff:
+                heard_at[s] = now
+                continue
+            if entry is None:
+                entry = ReceivedShare(run.share, run.mac_token, now)
             recon.evict_stale(now)
             if not recon.add_share(entry):
                 continue  # this scanner admitted the same key earlier and noted it then
-            slots_hit[s].add((dev, emission.generation, emission.share.share_id))
+            held[dev] = run
+            held_at[dev] = now
+            slots_hit[s].add((dev, run.generation, run.share.share_id))
             first_audible.setdefault((s, dev), now)
             if arrival:
                 hit = recon.run(now)
                 if hit is not None:
                     note_recovery(s, hit)
+    for s in range(config.scanners):
+        recons[s].evict_stale(heard_at[s])
     sweep_cycles(horizon_ticks)
 
     total_tries = sum(r.total_tries for r in recons)

@@ -10,6 +10,7 @@ from shardcast.broadcaster import (
     ADV_MAX_S,
     ADV_MIN_S,
     TICK_S,
+    BeaconEmission,
     BroadcastConfig,
     Broadcaster,
     to_ticks,
@@ -248,6 +249,29 @@ def test_tick_in_pieces_matches_one_call(case):
         got += device.tick(now - steps.random())
     got += device.tick(last)
     assert got == expected
+
+
+@pytest.mark.parametrize("case", list(EMISSION_DIGESTS))
+def test_runs_expand_to_emissions(case):
+    k, n, t_share, adv, expiry, start, horizon = case
+    by_runs = make_device(seed=7, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry, start=start)
+    by_beacons = make_device(seed=7, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry,
+                             start=start)
+    runs = by_runs.runs_before(horizon)
+    adv_ticks = to_ticks(adv)
+    expanded = [
+        BeaconEmission(t * TICK_S, run.share, run.mac_token, run.generation)
+        for run in runs
+        for t in range(run.first_tick, run.end_tick, adv_ticks)
+    ]
+    assert expanded == by_beacons.emissions_before(horizon)
+    assert all(run.first_tick < run.end_tick for run in runs)  # no empty run
+    for run, after in zip(runs, runs[1:]):
+        assert run.share is not after.share
+        assert run.end_tick <= after.first_tick
+    # Both walks leave the device in the same state.
+    assert by_runs.generation == by_beacons.generation
+    assert by_runs.runs_before(2 * horizon) == by_beacons.runs_before(2 * horizon)
 
 
 def test_emissions_are_immutable():

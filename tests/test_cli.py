@@ -346,6 +346,24 @@ def test_analyze_rejects_negative_gaps_before_reading(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_analyze_rejects_bad_scheme_before_reading(tmp_path, capsys):
+    assert main(["analyze", "--input", str(tmp_path / "missing.csv"), "--k", "7", "--n", "6",
+                 "--t", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need 1 <= k <= n, got k=7 n=6\n"
+    assert captured.out == ""
+
+
+def test_bundled_trace_is_reproducible(tmp_path):
+    out = tmp_path / "trace.csv"
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "generate_trace.py"), str(out)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == TRACE.read_bytes()
+
+
 def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

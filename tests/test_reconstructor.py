@@ -128,9 +128,9 @@ def test_budget_limits_tries_per_run():
         Reconstructor(params, RandomSource(99), max_tries=0)
 
 
-def test_candidate_persists_across_invocations():
-    # With a pool below k distinct ids nothing can complete, but partial
-    # candidate state survives; once the missing id arrives recovery lands.
+def test_recovery_waits_for_kth_distinct_id():
+    # With a pool below k distinct ids a run returns without drawing; once
+    # the missing id arrives recovery lands.
     params = SchemeParams(3, 5)
     rng = RandomSource(57)
     identifier, entries = device_shares(rng, params, "aa:aa:aa:aa:aa:aa")
@@ -163,8 +163,8 @@ def test_eviction_repairs_candidate():
     recon = Reconstructor(params, RandomSource(9), max_share_age=5.0)
     recon.add_share(ReceivedShare(entries[0].share, entries[0].mac_token, 0.0))
     recon.add_share(ReceivedShare(entries[1].share, entries[1].mac_token, 0.0))
-    recon.run(0.0)  # builds a partial candidate from the two shares
-    recon.evict_stale(20.0)  # both aged out, candidate must not hold ghosts
+    recon.run(0.0)  # fewer than k shares: returns without drawing
+    recon.evict_stale(20.0)  # both aged out; nothing of them may remain
     assert recon.pool_size == 0
     identifier, fresh = device_shares(rng, params, "cc:cc:cc:cc:cc:cc")
     results = []

@@ -192,6 +192,37 @@ def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
     assert digest.hexdigest() == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
 
 
+# sha256 over every SimResult field but config, for 120 runs of 3 devices and
+# 3 scanners at 0.1 s advertising in 0.5 s slots: repeats of a held share;
+# no eviction, or evictions after a whole cycle and a slot (auto), within a
+# slot (0.25 s, so a share is re-admitted mid-slot) or before the next beacon
+# (0 and 0.05 s); and scan windows that hear some devices' beacons only
+# every other time (custom:0.05:0.2). Recorded before the simulator handled
+# slot runs instead of single beacons.
+SIMULATOR_DIFFERENTIAL_DIGEST = "1b65a51ea515f4544b07278611e6cc1b5e2c84d86f9db343643c45b2075eedb7"
+
+
+def test_simulator_outputs_are_pinned():
+    digest = hashlib.sha256()
+    repeats = 0
+    for recon_mode, loss, eviction, scan, grouped in itertools.product(
+        ("cycle", "arrival"), (0.0, 0.3), ("auto", "off", 0, 0.05, 0.25),
+        ("continuous", "balanced", "custom:0.05:0.2"), (False, True),
+    ):
+        result = run_simulation(SimConfig(
+            SchemeParams(3, 4), m_devices=3, scanners=3, t_share=0.5, adv_interval=0.1,
+            loss_rate=loss, scan_mode=scan, horizon=9.0, seed=5, recon_mode=recon_mode,
+            group_by_mac=grouped, eviction=eviction,
+        ))
+        repeats += sum(result.received) - sum(result.slots_received)
+        fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        del fields["config"]
+        fields["resolved_devices"] = sorted(fields["resolved_devices"])
+        digest.update(repr(sorted(fields.items())).encode())
+    assert repeats > 0
+    assert digest.hexdigest() == SIMULATOR_DIFFERENTIAL_DIGEST
+
+
 def test_cycle_sweep_sees_only_earlier_receptions(monkeypatch):
     # With one beacon per 20 ms slot, two of these 128 devices start at phase
     # 0, so some emissions fall exactly on a cycle boundary. The sweep at a
