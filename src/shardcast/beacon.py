@@ -35,11 +35,19 @@ def encode_frame(
     ref_rssi: int = DEFAULT_REF_RSSI,
     mfg_reserved: int = 0,
 ) -> bytes:
-    """Serialize one share into the 26-byte manufacturer data block."""
+    """Serialize one share into the 26-byte manufacturer data block.
+
+    Raises BadShareId on a share id outside 1..255, and InvalidConfig when
+    mfg_id, ref_rssi or mfg_reserved does not fit its field.
+    """
     if not 1 <= share.share_id <= 255:
         raise BadShareId(f"share id {share.share_id} outside 1..255")
     if not -128 <= ref_rssi <= 127:
         raise InvalidConfig(f"ref_rssi {ref_rssi} outside a signed byte", "ref_rssi")
+    if not 0 <= mfg_id <= 0xFFFF:
+        raise InvalidConfig(f"mfg_id {mfg_id} outside 0..0xffff", "mfg_id")
+    if not 0 <= mfg_reserved <= 0xFF:
+        raise InvalidConfig(f"mfg_reserved {mfg_reserved} outside 0..255", "mfg_reserved")
     return b"".join(
         (
             mfg_id.to_bytes(2, "little"),

@@ -144,49 +144,7 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _config_overrides(args, configs: list[SimConfig]) -> list[SimConfig]:
-    out = []
-    for cfg in configs:
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        out.append(cfg)
-    return out
-
-
-# The simulate flags that describe the scenario, by SimConfig field name; a
-# flag left out takes SimConfig's default. A config file sets all of them.
-_SCENARIO_FIELDS = ("m_devices", "scanners", "t_share", "adv_interval", "loss_rate", "scan_mode",
-                    "horizon", "recon_mode")
-
-
-def _flag(field: str) -> str:
-    return "--nodes" if field == "m_devices" else "--" + field.replace("_", "-")
-
-
-def _single_config(args) -> SimConfig:
-    if args.k is None or args.n is None:
-        args.parser.error("either --config or both --k and --n are required")
-    try:
-        params = SchemeParams(args.k, args.n)
-    except ShardcastError as exc:
-        args.parser.error(str(exc))
-    given = {name: getattr(args, name) for name in (*_SCENARIO_FIELDS, "trials")
-             if getattr(args, name) is not None}
-    return SimConfig(params, seed=_resolve_seed(args), **given)
-
-
-def cmd_simulate(args) -> int:
-    """Serves both ``simulate`` and ``sweep``: run the configs, write the TSV."""
-    if args.config:
-        clash = [_flag(name) for name in ("k", "n", *_SCENARIO_FIELDS)
-                 if getattr(args, name, None) is not None]
-        if clash:
-            args.parser.error(f"--config sets the scenario; drop {', '.join(clash)}")
-        configs = _config_overrides(args, load_sim_configs(args.config))
-    else:
-        configs = [_single_config(args)]
+def _run_configs(args, configs: list[SimConfig]) -> int:
     rows = sweep(configs)
     out, close = _open_out(args.out)
     try:
@@ -195,6 +153,35 @@ def cmd_simulate(args) -> int:
         if close:
             out.close()
     return 0
+
+
+# The simulate flags that set a SimConfig field other than the scheme and the
+# seed, by field name; a flag left out takes SimConfig's default.
+_SIMULATE_FIELDS = ("m_devices", "scanners", "t_share", "adv_interval", "loss_rate", "scan_mode",
+                    "horizon", "recon_mode", "trials")
+
+
+def cmd_simulate(args) -> int:
+    """One configuration, given by flags."""
+    try:
+        params = SchemeParams(args.k, args.n)
+    except ShardcastError as exc:
+        args.parser.error(str(exc))
+    given = {name: getattr(args, name) for name in _SIMULATE_FIELDS
+             if getattr(args, name) is not None}
+    return _run_configs(args, [SimConfig(params, seed=_resolve_seed(args), **given)])
+
+
+def cmd_sweep(args) -> int:
+    """Every configuration of a config file; --seed and --trials override it."""
+    configs = []
+    for cfg in load_sim_configs(args.config):
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.trials is not None:
+            cfg = replace(cfg, trials=args.trials)
+        configs.append(cfg)
+    return _run_configs(args, configs)
 
 
 def _parse_gaps(text: str, parser) -> list[int]:
@@ -280,28 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frame", nargs="?", help="26-byte frame as hex (default: stdin)")
     p.set_defaults(func=cmd_decode)
 
-    for name, needs_config in (("simulate", False), ("sweep", True)):
-        p = subs.add_parser(
-            name,
-            help="run reconstruction simulations"
-            + ("" if needs_config else " (single run or config file)"),
-        )
-        p.add_argument("--config", required=needs_config, help="key=value config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--out", help="results file (default: stdout)")
-        p.set_defaults(func=cmd_simulate)
-        if not needs_config:
-            p.add_argument("--k", type=int)
-            p.add_argument("--n", type=int)
-            p.add_argument("--nodes", type=int, dest="m_devices", help="device count")
-            p.add_argument("--scanners", type=int)
-            p.add_argument("--t-share", type=float)
-            p.add_argument("--adv-interval", type=float)
-            p.add_argument("--loss-rate", type=float)
-            p.add_argument("--scan-mode")
-            p.add_argument("--horizon", type=float)
-            p.add_argument("--recon-mode", choices=RECON_MODES)
+    p = subs.add_parser("simulate", help="run one simulated configuration given by flags")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--nodes", type=int, dest="m_devices", help="device count")
+    p.add_argument("--scanners", type=int)
+    p.add_argument("--t-share", type=float)
+    p.add_argument("--adv-interval", type=float)
+    p.add_argument("--loss-rate", type=float)
+    p.add_argument("--scan-mode")
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--recon-mode", choices=RECON_MODES)
+    p.add_argument("--seed", type=int, help="randomness seed")
+    p.add_argument("--trials", type=int, help="trial count")
+    p.add_argument("--out", help="results file (default: stdout)")
+    p.set_defaults(func=cmd_simulate)
+
+    p = subs.add_parser("sweep", help="run every configuration of a config file")
+    p.add_argument("--config", required=True, help="key=value config file")
+    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--trials", type=int, help="override the trial count")
+    p.add_argument("--out", help="results file (default: stdout)")
+    p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("analyze", help="exposure report for a sighting log")
     p.add_argument("--input", required=True, help="sighting log file")

@@ -1,15 +1,15 @@
 """Scanner-side identifier reconstruction.
 
-Received shares accumulate in a working pool; the engine repeatedly grows
-a candidate set by drawing random pool entries (skipping any whose
+Received shares accumulate in a working pool; a run repeatedly grows a
+candidate set by drawing random pool entries (skipping any whose
 x-coordinate or body the candidate already holds), and whenever the
 candidate reaches k members it attempts a recovery. A recovered value
 whose embedded checksum verifies is a real identifier: its shares are
 consumed and the run stops. A failed checksum discards the candidate and
 the search continues, bounded by a per-run attempt budget.
 
-Every run ends with an empty candidate: a try, a dead end and a hit all
-clear it. Shares can be evicted by age, and receptions are deduplicated on
+The candidate lives for one run; only the pool persists between runs.
+Shares can be evicted by age, and receptions are deduplicated on
 (address token, share id, body), so hearing the same advertisement many
 times adds nothing to the pool.
 """
@@ -120,6 +120,9 @@ class Reconstructor:
     ):
         if max_tries is not None and max_tries < 1:
             raise InvalidConfig("max_tries must be at least 1", "max_tries")
+        if max_share_age is not None and not max_share_age >= 0:
+            raise InvalidConfig(f"max_share_age {max_share_age} must be a non-negative time",
+                                "max_share_age")
         self.params = params
         self.max_tries = max_tries
         self.group_by_mac = group_by_mac
@@ -130,9 +133,6 @@ class Reconstructor:
         self._oldest = math.inf  # smallest received_at in the pool
         self._seen: set[tuple[str, int, bytes]] = set()
         self._id_counts: dict[int, int] = {}
-        self._cand: list[ReceivedShare] = []
-        self._cand_ids: set[int] = set()
-        self._cand_bodies: set[bytes] = set()
         self.recovered: list[RecoveredIdentity] = []
         self.total_tries = 0
         self.total_draws = 0  # pool indices drawn by the search
@@ -171,20 +171,6 @@ class Reconstructor:
         self._shares = kept_shares
         self._oldest = oldest
 
-    def _clear_candidate(self) -> None:
-        self._cand.clear()
-        self._cand_ids.clear()
-        self._cand_bodies.clear()
-
-    def _drop_from_candidate(self, gone: set[int]) -> None:
-        if any(id(entry) in gone for entry in self._cand):
-            survivors = [entry for entry in self._cand if id(entry) not in gone]
-            self._clear_candidate()
-            for entry in survivors:
-                self._cand.append(entry)
-                self._cand_ids.add(entry.share.share_id)
-                self._cand_bodies.add(entry.share.body)
-
     def evict_stale(self, now: float) -> int:
         """Drop pool shares older than max_share_age; returns the count."""
         if self.max_share_age is None:
@@ -193,7 +179,6 @@ class Reconstructor:
         if self._oldest >= cutoff:  # nothing is stale
             return 0
         gone = {id(entry) for entry in self._pool if entry.received_at < cutoff}
-        self._drop_from_candidate(gone)
         for entry in self._pool:
             if id(entry) in gone:
                 self._seen.discard(entry.key)
@@ -215,31 +200,13 @@ class Reconstructor:
 
     # -- the search loop -------------------------------------------------
 
-    def _compatible(self, entry: ReceivedShare) -> bool:
-        share = entry.share
-        if share.share_id in self._cand_ids:
-            return False
-        if share.body in self._cand_bodies:
-            return False
-        if self.group_by_mac and self._cand and entry.mac_token != self._cand[0].mac_token:
-            return False
-        return True
-
-    def _submit(self, now: float, tries: int) -> RecoveredIdentity | None:
-        xs = bytes(entry.share.share_id for entry in self._cand)
-        packed = b"".join(entry.share.body for entry in self._cand)
-        value = kernel.recover_secret(xs, packed)
-        if not identifier_verify(value):
-            self._clear_candidate()
-            return None
+    def _consume(self, identifier: bytes, now: float, tries: int,
+                 sources: tuple[ReceivedShare, ...]) -> RecoveredIdentity:
         # Consumed shares stay in the seen-set: re-hearing them must not
         # re-open a finished recovery.
-        sources = tuple(self._cand)
-        gone = {id(entry) for entry in sources}
-        self._pool_remove(gone)
-        self._clear_candidate()
+        self._pool_remove({id(entry) for entry in sources})
         self.shares_consumed += len(sources)
-        hit = RecoveredIdentity(value, now, tries, sources)
+        hit = RecoveredIdentity(identifier, now, tries, sources)
         self.recovered.append(hit)
         return hit
 
@@ -283,11 +250,11 @@ class Reconstructor:
         getrandbits = self._rng.getrandbits
         bits = size.bit_length()
         shares = self._shares
-        cand = self._cand
-        cand_ids = self._cand_ids
-        cand_bodies = self._cand_bodies
         group_by_mac = self.group_by_mac
-        filled = len(cand)
+        # The candidate: its entries, and their bodies by share id in draw order.
+        cand: list[ReceivedShare] = []
+        cand_bodies: dict[int, bytes] = {}
+        filled = 0
         tries = 0
         draws = 0
         rejects = 0
@@ -296,11 +263,16 @@ class Reconstructor:
         while True:
             if filled == k:
                 tries += 1
-                hit = self._submit(now, tries)  # clears the candidate
-                if hit is not None or tries == budget:
+                value = kernel.recover_secret(bytes(cand_bodies), b"".join(cand_bodies.values()))
+                if identifier_verify(value):
+                    hit = self._consume(value, now, tries, tuple(cand))
+                    break
+                if tries == budget:
                     break
                 if tries == exhaust_at and not self._pool_can_recover():
                     break
+                cand = []
+                cand_bodies = {}
                 filled = 0
                 continue
             index = getrandbits(bits)
@@ -310,15 +282,14 @@ class Reconstructor:
             share = shares[index]
             sid = share.share_id
             body = share.body
-            if not (sid in cand_ids or body in cand_bodies or (
+            if not (sid in cand_bodies or body in cand_bodies.values() or (
                     group_by_mac and filled and pool[index].mac_token != cand[0].mac_token)):
                 # Note: dead_ends stays; a fresh candidate always accepts
                 # its first draw, so resetting here would disable the
                 # two-dead-ends exit and an unbudgeted run could spin
                 # forever on an unsatisfiable pool.
                 cand.append(pool[index])
-                cand_ids.add(sid)
-                cand_bodies.add(body)
+                cand_bodies[sid] = body
                 filled += 1
                 rejects = 0
                 continue
@@ -326,9 +297,13 @@ class Reconstructor:
             if rejects > reject_limit:
                 # Strong evidence the candidate cannot grow; confirm by scan.
                 rejects = 0
-                if any(self._compatible(other) for other in pool):
+                mac = cand[0].mac_token
+                if any(entry.share.share_id not in cand_bodies
+                       and entry.share.body not in cand_bodies.values()
+                       and not (group_by_mac and entry.mac_token != mac) for entry in pool):
                     continue
-                self._clear_candidate()
+                cand = []
+                cand_bodies = {}
                 filled = 0
                 dead_ends += 1
                 if dead_ends >= 2:

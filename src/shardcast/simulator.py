@@ -208,12 +208,13 @@ def run_simulation(config: SimConfig) -> SimResult:
         recon = recons[scanner]
         recon.evict_stale(at)
         while True:
-            per_device: dict[tuple[int, int], set[int]] = {}
+            # The pool holds one entry per key, so the entries of one
+            # (device, generation) carry distinct share ids.
+            counts: dict[tuple[int, int], int] = {}
             for entry in recon.pool_entries():
-                source = origin.get(entry.key)
-                if source is not None:
-                    per_device.setdefault(source, set()).add(entry.share.share_id)
-            if not any(len(ids) >= k for ids in per_device.values()):
+                source = origin[entry.key]
+                counts[source] = counts.get(source, 0) + 1
+            if max(counts.values(), default=0) < k:
                 break
             hit = recon.run(at, budget=None)
             if hit is None:

@@ -99,6 +99,14 @@ def test_ref_rssi_range_error_is_typed():
     assert info.value.fields == ("ref_rssi",)
 
 
+@pytest.mark.parametrize("field, value", [("mfg_id", -1), ("mfg_id", 0x10000),
+                                          ("mfg_reserved", -1), ("mfg_reserved", 256)])
+def test_header_field_range_errors_are_typed(field, value):
+    with pytest.raises(InvalidConfig) as info:
+        encode_frame(Share(1, bytes(16)), **{field: value})
+    assert info.value.fields == (field,)
+
+
 def test_share_id_zero_rejected_both_ways():
     with pytest.raises(BadShareId):
         encode_frame(Share(0, bytes(16)))

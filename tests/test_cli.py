@@ -105,6 +105,14 @@ def test_recover_check_rejects_non_identifier(tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err
 
 
+def test_recover_rejects_empty_input():
+    proc = run_cli("recover", input="")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
 def test_recover_reports_malformed_line(tmp_path, capsys):
     share_file = tmp_path / "shares.txt"
     share_file.write_text("1:00112233445566778899aabbccddeeff\nnot-a-share\n")
@@ -179,6 +187,19 @@ def test_encode_rejects_out_of_range_rssi(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--mfg-id", "70000"], "mfg_id"), (["--mfg-id", "-1"], "mfg_id"),
+    (["--reserved", "300"], "mfg_reserved"), (["--reserved", "-1"], "mfg_reserved"),
+])
+def test_encode_rejects_out_of_range_header_fields(flags, named, capsys):
+    assert main(["encode", "--share-id", "1",
+                 "--body-hex", "000102030405060708090a0b0c0d0e0f", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {named} ")
+
+
 # -- simulate / sweep -----------------------------------------------------
 
 
@@ -217,13 +238,23 @@ def test_simulate_rejects_t_share_off_the_tick_grid(capsys):
 
 
 def test_simulate_requires_scheme_or_config(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["simulate"])
-    assert info.value.code == 2
+    # simulate takes the scheme as flags; a config file is sweep's.
+    for argv, message in (
+        (["simulate"], "the following arguments are required: --k, --n"),
+        (["simulate", "--k", "3", "--n", "5", "--config", str(TABLE_CFG)],
+         f"unrecognized arguments: --config {TABLE_CFG}"),
+        (["sweep"], "the following arguments are required: --config"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
-def test_simulate_bundled_config(capsys):
-    argv = ["simulate", "--config", str(TABLE_CFG), "--trials", "1"]
+def test_sweep_bundled_config(capsys):
+    argv = ["sweep", "--config", str(TABLE_CFG), "--trials", "1"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
@@ -234,37 +265,33 @@ def test_simulate_bundled_config(capsys):
     assert capsys.readouterr().out == out
 
 
-def test_simulate_missing_config_file(capsys):
-    assert main(["simulate", "--config", "/no/such/file.cfg"]) == 1
+def test_sweep_missing_config_file(capsys):
+    assert main(["sweep", "--config", "/no/such/file.cfg"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_simulate_bad_config_line(tmp_path, capsys):
+def test_sweep_bad_config_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = 3:5\nwidgets = 4\n")
-    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert main(["sweep", "--config", str(cfg)]) == 1
     assert "line 2" in capsys.readouterr().err
 
 
 def test_config_rejects_scenario_flags(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("scheme = 3:5\nnodes = 2\n")
-    for flags, named in (
-        (["--nodes", "7", "--loss-rate", "0.5"], "--nodes, --loss-rate"),
-        (["--k", "2"], "--k"),
-        (["--scanners", "2", "--t-share", "2", "--adv-interval", "1", "--scan-mode",
-          "balanced", "--horizon", "9", "--recon-mode", "arrival", "--n", "4"],
-         "--n, --scanners, --t-share, --adv-interval, --scan-mode, --horizon, --recon-mode"),
-    ):
+    scenario = ["--scanners", "2", "--t-share", "2", "--adv-interval", "1", "--scan-mode",
+                "balanced", "--horizon", "9", "--recon-mode", "arrival", "--n", "4"]
+    for flags in (["--nodes", "7", "--loss-rate", "0.5"], ["--k", "2"], scenario):
         with pytest.raises(SystemExit) as info:
-            main(["simulate", "--config", str(cfg), *flags])
+            main(["sweep", "--config", str(cfg), *flags])
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert named in captured.err
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
     # --seed, --trials and --out still override a config file.
     out_path = tmp_path / "results.tsv"
-    argv = ["simulate", "--config", str(cfg), "--seed", "3", "--trials", "2",
+    argv = ["sweep", "--config", str(cfg), "--seed", "3", "--trials", "2",
             "--out", str(out_path)]
     assert main(argv) == 0
     assert main(["simulate", "--k", "3", "--n", "5", "--nodes", "2", "--seed", "3",

@@ -141,6 +141,16 @@ def test_recovery_waits_for_kth_distinct_id():
     assert recon.on_share_received(entries[2]) == [identifier]
 
 
+@pytest.mark.parametrize("age", [-1.0, -math.inf, math.nan])
+def test_max_share_age_must_be_a_non_negative_time(age):
+    with pytest.raises(InvalidConfig) as info:
+        Reconstructor(SchemeParams(3, 5), RandomSource(1), max_share_age=age)
+    assert info.value.fields == ("max_share_age",)
+    # Zero keeps only shares heard at this very time; infinity never evicts.
+    for fine in (0.0, math.inf):
+        Reconstructor(SchemeParams(3, 5), RandomSource(1), max_share_age=fine)
+
+
 def test_eviction_by_age_and_readmission():
     params = SchemeParams(3, 5)
     rng = RandomSource(58)
@@ -156,7 +166,7 @@ def test_eviction_by_age_and_readmission():
     assert recon.pool_size == 2
 
 
-def test_eviction_repairs_candidate():
+def test_aged_out_shares_leave_the_pool():
     params = SchemeParams(3, 5)
     rng = RandomSource(59)
     _, entries = device_shares(rng, params, "aa:aa:aa:aa:aa:aa")
@@ -264,7 +274,7 @@ def test_incompatible_pool_does_not_loop_forever():
 
 
 UNSATISFIABLE_POOL = textwrap.dedent("""
-    from shardcast.identity import identifier_new, shareset_generate
+    from shardcast.identity import Share, identifier_new, shareset_generate
     from shardcast.reconstructor import ReceivedShare, Reconstructor
     from shardcast.rng import RandomSource
     from shardcast.shamir import SchemeParams
@@ -284,6 +294,13 @@ UNSATISFIABLE_POOL = textwrap.dedent("""
     assert found == [] and recon.total_tries == 4, (found, recon.total_tries)
     # Device a's third share completes it.
     assert recon.on_share_received(ReceivedShare(a[2], "a", 1.0)) == [id_a]
+    # Two ids with one body: no candidate may hold both, so the run makes no
+    # try and stops after two dead ends.
+    twin = Reconstructor(SchemeParams(2, 3), RandomSource(3))
+    for sid in (1, 2):
+        twin.add_share(ReceivedShare(Share(sid, a[0].body), "t", 0.0))
+    assert twin.run(0.0) is None, "hit"
+    assert twin.total_tries == 0 and twin.total_draws > 0, (twin.total_tries, twin.total_draws)
     print("returned")
 """)
 
@@ -427,25 +444,13 @@ def test_total_draws_counts_index_draws(group_by_mac):
     assert recon._rng.getrandbits(64) == reference.getrandbits(64)
 
 
-def _plant(recon, entry):
-    """Put ``entry`` in the candidate, as a run that drew it would.
-
-    Every run ends with an empty candidate (a try or a dead end clears it,
-    and a run on a dead pool draws nothing), so a candidate carried into a
-    run has to be planted.
-    """
-    recon._cand.append(entry)
-    recon._cand_ids.add(entry.share.share_id)
-    recon._cand_bodies.add(entry.share.body)
-
-
 def _search_digest(check_state) -> str:
     """Hash of every search outcome over a grid of pools, budgets and modes.
 
     Each scenario hears three devices twice over, with evictions between
-    runs and a planted candidate at the start of the second pass; device
-    ``aa`` is heard in full when ``complete``, every other device leaves
-    k - 1 shares. ``check_state(recon)`` runs after every change to the pool.
+    runs; device ``aa`` is heard in full when ``complete``, every other
+    device leaves k - 1 shares. ``check_state(recon)`` runs after every
+    change to the pool.
     """
     digest = hashlib.sha256()
     for k, n in ((2, 3), (3, 5), (4, 6), (6, 7)):
@@ -465,30 +470,27 @@ def _search_digest(check_state) -> str:
             recon = Reconstructor(params, search_rng, group_by_mac=group_by_mac,
                                   max_share_age=0.25 * (n + 2))
             now = 0.0
-            for round_ in range(2):
-                for step, entry in enumerate(heard):
+            for _ in range(2):
+                for entry in heard:
                     now += 0.25
                     if recon.evict_stale(now):
                         check_state(recon)
                     if recon.add_share(ReceivedShare(entry.share, entry.mac_token, now)):
                         check_state(recon)
-                    if round_ and not step and recon.pool_size:
-                        _plant(recon, recon.pool_entries()[-1])
                     hit = recon.run(now, budget)
                     if hit is not None:
                         check_state(recon)
                         keys = [source.key for source in hit.sources]
                         digest.update(f"{label} hit {hit.identifier.hex()} {hit.completed_at}"
                                       f" {hit.tries} {keys}\n".encode())
-                    cand = [(e.mac_token, e.share.share_id) for e in recon._cand]
-                    digest.update(f"{label} {recon.total_tries} {recon.pool_size}"
-                                  f" {cand}\n".encode())
+                    digest.update(f"{label} {recon.total_tries} {recon.pool_size}\n".encode())
             digest.update(f"{label} next {search_rng.getrandbits(64)}\n".encode())
     return digest.hexdigest()
 
 
-# Recorded before the draw loop was inlined into Reconstructor.run.
-SEARCH_DIGEST = "0fb321d67d50d6d6d70b136c7d11f0df68688d9400d38f7c9a0bb6022448c406"
+# Recorded while the search could still carry a candidate from one run into
+# the next, before the candidate became local to Reconstructor.run.
+SEARCH_DIGEST = "876024ed69e3af23cd95da3e4a17c9fe09172fe6e0386155c9988a06eb979c17"
 
 
 def test_search_outcomes_are_pinned():

@@ -110,6 +110,9 @@ def test_recover_error_paths():
         recover(shares[:2], 3)
     with pytest.raises(WrongShareCount):
         recover(shares, 3)
+    for k in (0, 3):
+        with pytest.raises(WrongShareCount):
+            recover([], k)
     with pytest.raises(DuplicateShareId):
         recover([shares[0], shares[0], shares[1]], 3)
     with pytest.raises(InvalidParams):
