@@ -1,25 +1,36 @@
 """AltBeacon manufacturer-data codec for share broadcast.
 
 One share travels per advertisement inside the 26-byte manufacturer data
-block: company id (2 bytes, little-endian per the Bluetooth assigned-number
-convention), beacon type code 0xBEAC (big-endian), a 20-byte beacon id, a
-signed reference-RSSI byte, and one reserved byte. The beacon id packs the
-share id in byte 0, the 16 body bytes in 1..16, and zero padding in 17..19.
+block, laid out by the one struct format ``<H2sB16s3xbB``:
+
+    bytes   field                format
+    0..1    company id           H, little-endian (Bluetooth convention)
+    2..3    beacon code 0xBEAC   2s, big-endian
+    4       share id             B, byte 0 of the 20-byte beacon id
+    5..20   share body           16s, beacon id bytes 1..16
+    21..23  zero padding         3x, beacon id bytes 17..19
+    24      reference RSSI       b, signed
+    25      reserved             B
 """
 
 from __future__ import annotations
 
+import struct
+from functools import partial
 from typing import NamedTuple
 
 from .errors import BadBeaconCode, BadLength, BadShareId, InvalidConfig
-from .identity import IDENTIFIER_LEN, Share
+from .identity import Share
+
+_FRAME = struct.Struct("<H2sB16s3xbB")
+_pack = _FRAME.pack
+_unpack = _FRAME.unpack
 
 BEACON_CODE = 0xBEAC
-FRAME_LEN = 26
-BEACON_ID_LEN = 20
+FRAME_LEN = _FRAME.size  # 26
 DEFAULT_MFG_ID = 0x0118
 DEFAULT_REF_RSSI = -59
-_PAD = BEACON_ID_LEN - 1 - IDENTIFIER_LEN
+_CODE = BEACON_CODE.to_bytes(2, "big")
 
 
 class BeaconFrame(NamedTuple):
@@ -27,6 +38,11 @@ class BeaconFrame(NamedTuple):
     share: Share
     ref_rssi: int = DEFAULT_REF_RSSI
     mfg_reserved: int = 0
+
+
+# Build a BeaconFrame from a tuple of its fields in C; the NamedTuple's own
+# __new__ is a Python function, and a scanner decodes every frame it hears.
+_new_frame = partial(tuple.__new__, BeaconFrame)
 
 
 def encode_frame(
@@ -48,34 +64,22 @@ def encode_frame(
         raise InvalidConfig(f"mfg_id {mfg_id} outside 0..0xffff", "mfg_id")
     if not 0 <= mfg_reserved <= 0xFF:
         raise InvalidConfig(f"mfg_reserved {mfg_reserved} outside 0..255", "mfg_reserved")
-    return b"".join(
-        (
-            mfg_id.to_bytes(2, "little"),
-            BEACON_CODE.to_bytes(2, "big"),
-            bytes([share.share_id]),
-            share.body,
-            bytes(_PAD),
-            (ref_rssi & 0xFF).to_bytes(1, "big"),
-            bytes([mfg_reserved]),
-        )
-    )
+    return _pack(mfg_id, _CODE, share.share_id, share.body, ref_rssi, mfg_reserved)
 
 
 def decode_frame(frame: bytes) -> BeaconFrame:
     """Parse a manufacturer data block back into its share.
 
+    Accepts any bytes-like frame; the decoded body is always ``bytes``.
     Raises BadLength unless the frame is exactly 26 bytes, BadBeaconCode
     when the type code is not 0xBEAC, and BadShareId on a zero share id.
     """
     if len(frame) != FRAME_LEN:
         raise BadLength(f"frame must be {FRAME_LEN} bytes, got {len(frame)}")
-    code = int.from_bytes(frame[2:4], "big")
-    if code != BEACON_CODE:
-        raise BadBeaconCode(f"beacon code {code:#06x} is not {BEACON_CODE:#06x}")
-    share_id = frame[4]
+    mfg_id, code, share_id, body, ref_rssi, reserved = _unpack(frame)
+    if code != _CODE:
+        raise BadBeaconCode(
+            f"beacon code {int.from_bytes(code, 'big'):#06x} is not {BEACON_CODE:#06x}")
     if share_id == 0:
         raise BadShareId("share id 0 is reserved")
-    body = frame[5 : 5 + IDENTIFIER_LEN]
-    mfg_id = int.from_bytes(frame[0:2], "little")
-    ref_rssi = int.from_bytes(frame[24:25], "big", signed=True)
-    return BeaconFrame(mfg_id, Share(share_id, body), ref_rssi, frame[25])
+    return _new_frame((mfg_id, Share(share_id, body), ref_rssi, reserved))

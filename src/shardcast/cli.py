@@ -11,7 +11,9 @@ from OS entropy and echoed to stderr for reproducibility.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from .beacon import DEFAULT_MFG_ID, DEFAULT_REF_RSSI, decode_frame, encode_frame
@@ -42,10 +44,38 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The stream --out names, opened before the work that fills it.
+
+    None and "-" are stdout. A regular file is written as a new file beside
+    it, which replaces it only when the block completes, so an unwritable
+    path fails before any work and a failed run leaves an earlier result in
+    place.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # A directory fails here; a device or a pipe is written in place.
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        out = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the path given, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with out:
+            yield out
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # -- share plumbing ------------------------------------------------------
@@ -105,6 +135,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    if args.k is not None and args.k < 1:
+        args.parser.error(f"--k must be at least 1, got {args.k}")
     shares = _read_share_lines(args.input)
     k = args.k if args.k is not None else len(shares)
     if len(shares) > k:
@@ -145,13 +177,8 @@ def cmd_decode(args) -> int:
 
 
 def _run_configs(args, configs: list[SimConfig]) -> int:
-    rows = sweep(configs)
-    out, close = _open_out(args.out)
-    try:
-        write_results(rows, out)
-    finally:
-        if close:
-            out.close()
+    with _output(args.out) as out:
+        write_results(sweep(configs), out)
     return 0
 
 
@@ -199,29 +226,19 @@ def _parse_gaps(text: str, parser) -> list[int]:
 def cmd_analyze(args) -> int:
     gaps = _parse_gaps(args.gaps, args.parser) if args.gaps else None
     scheme = ExposureScheme(args.k, args.n, args.t)
-    sightings = read_sightings(args.input)
-    report = compute_scheme_exposure(sightings, scheme, align=args.align)
-    out, close = _open_out(args.out)
-    try:
-        write_exposure_report([report], out)
+    with _output(args.out) as out:
+        sightings = read_sightings(args.input)
+        write_exposure_report([compute_scheme_exposure(sightings, scheme, align=args.align)], out)
         if gaps:
             out.write("\n")
             write_encounter_report(encounter_statistics(sightings, gaps), out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_encounters(args) -> int:
     gaps = _parse_gaps(args.gaps, args.parser)
-    sightings = read_sightings(args.input)
-    out, close = _open_out(args.out)
-    try:
-        write_encounter_report(encounter_statistics(sightings, gaps), out)
-    finally:
-        if close:
-            out.close()
+    with _output(args.out) as out:
+        write_encounter_report(encounter_statistics(read_sightings(args.input), gaps), out)
     return 0
 
 
@@ -320,16 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     args.parser = parser
     try:
         return args.func(args)
-    except ShardcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:  # an OSError: caught first, and silent
         return 1
-    except FileNotFoundError as exc:
+    except (ShardcastError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
         return 1
 
 

@@ -187,7 +187,9 @@ class Reconstructor:
 
     def add_share(self, entry: ReceivedShare) -> bool:
         """Admit one reception into the pool; False when it is a duplicate."""
-        key = entry.key
+        # entry.key, without the property call: most receptions are repeats.
+        share = entry.share
+        key = (entry.mac_token, share.share_id, share.body)
         if key in self._seen:
             return False
         self._seen.add(key)

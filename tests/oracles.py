@@ -149,3 +149,38 @@ def encounters_ref(rows, max_gap: int):
             duration += ordered[end] - ordered[idx] + 1
             idx = end + 1
     return count, duration
+
+
+ALTBEACON_CODE = (0xBE, 0xAC)
+
+
+def altbeacon_frame_ref(mfg_id: int, share_id: int, body: bytes, ref_rssi: int,
+                        reserved: int) -> bytes:
+    """The 26-byte AltBeacon manufacturer data block, one byte at a time.
+
+    Company id low byte first, the beacon code high byte first, then the
+    20-byte beacon id (share id, 16 body bytes, three zero bytes), the
+    reference RSSI in two's complement and the reserved byte.
+    """
+    out = [mfg_id % 256, mfg_id // 256, ALTBEACON_CODE[0], ALTBEACON_CODE[1], share_id]
+    for byte in body:
+        out.append(byte)
+    out += [0, 0, 0]
+    out.append(ref_rssi + 256 if ref_rssi < 0 else ref_rssi)
+    out.append(reserved)
+    assert len(out) == 26
+    return bytes(out)
+
+
+def altbeacon_parse_ref(frame) -> tuple:
+    """Fields of a frame as (mfg_id, share_id, body, ref_rssi, reserved), or
+    the name of the first check it fails: length, beacon code, share id."""
+    data = [frame[i] for i in range(len(frame))]
+    if len(data) != 26:
+        return "BadLength"
+    if (data[2], data[3]) != ALTBEACON_CODE:
+        return "BadBeaconCode"
+    if data[4] == 0:
+        return "BadShareId"
+    rssi = data[24] - 256 if data[24] >= 128 else data[24]
+    return (data[0] + 256 * data[1], data[4], bytes(data[5:21]), rssi, data[25])

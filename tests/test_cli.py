@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from shardcast import cli
 from shardcast.cli import main
+from shardcast.errors import ShardcastError
 from shardcast.identity import identifier_verify
 
 REPO = Path(__file__).resolve().parent.parent
@@ -118,6 +122,14 @@ def test_recover_reports_malformed_line(tmp_path, capsys):
     share_file.write_text("1:00112233445566778899aabbccddeeff\nnot-a-share\n")
     assert main(["recover", "--input", str(share_file)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_recover_rejects_threshold_below_one(k, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["recover", "--k", k, "--input", "/no/such/shares.txt"])
+    assert info.value.code == 2
+    assert "--k" in capsys.readouterr().err
 
 
 def test_split_recover_pipe_with_check():
@@ -309,6 +321,69 @@ def test_sweep_writes_results_file(tmp_path):
     assert lines[0].startswith("k\tn\tnodes")
     assert lines[1].startswith("2\t3\t1\t")
     assert lines[2].startswith("2\t3\t2\t")
+
+
+def _no_simulation(configs):
+    raise AssertionError("simulated before --out was checked")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_fails_before_simulating(where, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sweep", _no_simulation)
+    out = tmp_path / "missing" / "x.tsv" if where == "missing-dir" else tmp_path
+    assert main(["sweep", "--config", str(TABLE_CFG), "--trials", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert str(out) in err
+    assert list(tmp_path.iterdir()) == []  # nothing is written
+
+
+def test_failed_run_keeps_earlier_result(tmp_path, monkeypatch, capsys):
+    def fail(configs):
+        raise ShardcastError("simulation failed")
+
+    out = tmp_path / "results.tsv"
+    out.write_text("earlier result\n")
+    monkeypatch.setattr(cli, "sweep", fail)
+    assert main(["sweep", "--config", str(TABLE_CFG), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: simulation failed\n"
+    assert out.read_text() == "earlier result\n"
+    assert list(tmp_path.iterdir()) == [out]  # no temporary file is left behind
+
+
+def test_out_replaces_an_earlier_result(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("scheme = 2:3\nnodes = 1\nt_share = 1\ntrials = 1\nseed = 4\n")
+    out = tmp_path / "results.tsv"
+    out.write_text("earlier result\n" * 100)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().startswith("k\tn\tnodes")
+    assert sorted(tmp_path.iterdir()) == [out, cfg]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_writes_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["encounters", "--input", str(TRACE), "--out", str(fifo)]) == 0
+    reader.join(30)
+    assert not reader.is_alive()
+    assert received == [GOLDEN_ANALYZE.read_text().split("\n\n")[1]]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "/", "--k", "2", "--n", "3", "--t", "1"],
+    ["sweep", "--config", str(TABLE_CFG), "--trials", "1", "--out", "/"],
+])
+def test_os_errors_are_one_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stdout == ""
 
 
 # -- analyze / encounters -------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,27 @@ from shardcast.reconstructor import (
 )
 from shardcast.rng import RandomSource
 from shardcast.shamir import SchemeParams, split
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Fail a test that runs past 60 s, where SIGALRM exists: an unbudgeted
+    search that never returns then fails its test instead of stalling the
+    suite until the run-wide faulthandler timeout."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past 60 s; a search may never return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def device_shares(rng, params, mac):
