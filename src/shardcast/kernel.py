@@ -73,13 +73,13 @@ def lagrange_weights(xs: bytes) -> bytes:
 
 
 @lru_cache(maxsize=1024)
-def _weight_rows(xset: bytes) -> dict[int, bytes]:
-    """Product table of each x's Lagrange weight, for one sorted x-set.
+def weights_by_x(xset: bytes) -> dict[int, int]:
+    """Each x's Lagrange weight at x=0, for one sorted x-set.
 
     Share ids arrive off the air, so the number of distinct x-sets is
     chosen by whoever transmits; the cache is therefore bounded.
     """
-    return {x: MUL[w] for x, w in zip(xset, lagrange_weights(xset))}
+    return dict(zip(xset, lagrange_weights(xset)))
 
 
 def recover_secret(xs: bytes, bodies: bytes) -> bytes:
@@ -89,11 +89,11 @@ def recover_secret(xs: bytes, bodies: bytes) -> bytes:
     multiple of len(xs).
     """
     width = len(bodies) // len(xs)
-    rows = _weight_rows(bytes(sorted(xs)))
+    weights = weights_by_x(bytes(sorted(xs)))
     acc = 0
     off = 0
     for x in xs:
-        acc ^= int.from_bytes(bodies[off : off + width].translate(rows[x]), "big")
+        acc ^= int.from_bytes(bodies[off : off + width].translate(MUL[weights[x]]), "big")
         off += width
     return acc.to_bytes(width, "big")
 

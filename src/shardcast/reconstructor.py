@@ -8,6 +8,18 @@ whose embedded checksum verifies is a real identifier: its shares are
 consumed and the run stops. A failed checksum discards the candidate and
 the search continues, bounded by a per-run attempt budget.
 
+An attempt tests the checksum without interpolating. The value at x=0
+is the XOR of the weighted bodies u_i = w_i*b_i (w_i the Lagrange
+weights of the candidate's x-set). Scaling by a GF(2^8) constant is
+GF(2)-linear and CRC-32 is affine over GF(2), so crc32 of the value's
+first 12 bytes is the XOR of the crc32(u_i[:12]), plus crc32 of 12 zero
+bytes when k is even. The value verifies exactly when the XOR of the
+syndrome terms s_i = crc32(u_i[:12]) ^ u_i[12:] equals that constant
+(k even) or 0 (k odd). A run memoises u_i and s_i by (weight, body) in
+a dict that it drops on return, so most attempts cost k lookups and
+XORs. The same candidates pass as under interpolate-then-verify,
+including the rare mixed-device ones the 32-bit checksum lets through.
+
 The candidate lives for one run; only the pool persists between runs.
 Shares can be evicted by age, and receptions are deduplicated on
 (address token, share id, body), so hearing the same advertisement many
@@ -20,11 +32,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
+from zlib import crc32
 
-from . import kernel
 from .errors import InvalidConfig, InvalidParams
-from .identity import identifier_verify
-from .identity import Share
+from .identity import IDENTIFIER_LEN, RANDOM_LEN, Share, identifier_verify
+from .kernel import MUL, weights_by_x
 from .rng import RandomSource
 from .shamir import SchemeParams
 
@@ -59,6 +71,40 @@ class ReconstructionReport:
             f"{self.identifiers_recovered}\t{self.total_tries}"
             f"\t{self.shares_consumed}\t{self.shares_remaining}"
         )
+
+
+# The syndrome of a verifying candidate of k members: crc32 of twelve zero
+# bytes for even k, 0 for odd k.
+_SYNDROME_TARGETS = (crc32(bytes(RANDOM_LEN)), 0)
+_VALUE_MASK = (1 << 8 * IDENTIFIER_LEN) - 1  # the low 128 bits of a memo term
+
+
+def _syndrome_target(k: int) -> int:
+    return _SYNDROME_TARGETS[k & 1]
+
+
+def _candidate_value(bodies: dict[int, bytes], memo: dict[tuple[int, bytes], int],
+                     target: int) -> bytes | None:
+    """The candidate's value at x=0 when its checksum syndrome is ``target``.
+
+    ``bodies`` maps each member's share id to its body. ``memo`` maps
+    (weight, body) to one int: the weighted body u = weight*body in the low
+    128 bits and its syndrome term crc32(u[:12]) ^ u[12:] above them, so one
+    XOR per member sums both. The caller decides how long it lives.
+    """
+    weights = weights_by_x(bytes(sorted(bodies)))
+    total = 0
+    for x, body in bodies.items():
+        key = (weights[x], body)
+        term = memo.get(key)
+        if term is None:
+            product = body.translate(MUL[key[0]])
+            u = int.from_bytes(product, "big")
+            term = memo[key] = (crc32(product[:RANDOM_LEN]) ^ (u & 0xFFFFFFFF)) << 128 | u
+        total ^= term
+    if total >> 128 != target:
+        return None
+    return (total & _VALUE_MASK).to_bytes(IDENTIFIER_LEN, "big")
 
 
 def complementary_id_sets(params: SchemeParams) -> list[tuple[int, ...]]:
@@ -212,17 +258,18 @@ class Reconstructor:
         self.recovered.append(hit)
         return hit
 
-    def _pool_can_recover(self) -> bool:
+    def _pool_can_recover(self, memo: dict[tuple[int, bytes], int]) -> bool:
         """True when some compatible k-subset of the pool verifies."""
         k = self.params.k
+        target = _syndrome_target(k)
         for group in combinations(self._pool, k):
-            ids = bytes(entry.share.share_id for entry in group)
-            if len(set(ids)) < k or len({entry.share.body for entry in group}) < k:
+            bodies = {entry.share.share_id: entry.share.body for entry in group}
+            if len(bodies) < k or len(set(bodies.values())) < k:
                 continue
             if self.group_by_mac and len({entry.mac_token for entry in group}) > 1:
                 continue
-            packed = b"".join(entry.share.body for entry in group)
-            if identifier_verify(kernel.recover_secret(ids, packed)):
+            value = _candidate_value(bodies, memo, target)
+            if value is not None and identifier_verify(value):
                 return True
         return False
 
@@ -253,6 +300,8 @@ class Reconstructor:
         bits = size.bit_length()
         shares = self._shares
         group_by_mac = self.group_by_mac
+        target = _syndrome_target(k)
+        memo: dict[tuple[int, bytes], int] = {}  # see _candidate_value
         # The candidate: its entries, and their bodies by share id in draw order.
         cand: list[ReceivedShare] = []
         cand_bodies: dict[int, bytes] = {}
@@ -265,13 +314,13 @@ class Reconstructor:
         while True:
             if filled == k:
                 tries += 1
-                value = kernel.recover_secret(bytes(cand_bodies), b"".join(cand_bodies.values()))
-                if identifier_verify(value):
+                value = _candidate_value(cand_bodies, memo, target)
+                if value is not None and identifier_verify(value):
                     hit = self._consume(value, now, tries, tuple(cand))
                     break
                 if tries == budget:
                     break
-                if tries == exhaust_at and not self._pool_can_recover():
+                if tries == exhaust_at and not self._pool_can_recover(memo):
                     break
                 cand = []
                 cand_bodies = {}

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import os
 import stat
 import subprocess
@@ -275,6 +276,19 @@ def test_sweep_bundled_config(capsys):
     assert lines[72].startswith("6\t7\t8\t")
     assert main(argv) == 0
     assert capsys.readouterr().out == out
+
+
+# sha256 of the one-trial, seed-1 table sweep, recorded before the search's
+# candidate test became a checksum syndrome.
+TABLE_SWEEP_TRIALS1_SEED1_SHA256 = "bf0a67c4af46b0ff9ad78dba52a965997e82ea65967753e3aec56ebc4c6da57f"
+
+
+def test_table_sweep_output_is_pinned(tmp_path):
+    out_path = tmp_path / "table.tsv"
+    assert main(["sweep", "--config", str(TABLE_CFG), "--trials", "1", "--seed", "1",
+                 "--out", str(out_path)]) == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == TABLE_SWEEP_TRIALS1_SEED1_SHA256
 
 
 def test_sweep_missing_config_file(capsys):

@@ -15,11 +15,15 @@ import pytest
 
 import shardcast
 
+from shardcast import kernel
 from shardcast.errors import InvalidConfig
+from shardcast.gf256 import gf_inv
 from shardcast.identity import Share, identifier_new, identifier_verify
 from shardcast.reconstructor import (
     ReceivedShare,
     Reconstructor,
+    _candidate_value,
+    _syndrome_target,
     complementary_id_sets,
     default_max_tries,
     estimate_search_space,
@@ -520,3 +524,60 @@ def test_search_outcomes_are_pinned():
         assert recon._shares == [entry.share for entry in recon._pool]
 
     assert _search_digest(check_state) == SEARCH_DIGEST
+
+
+def syndrome_candidates(k, rng):
+    """(x-set, bodies, kind) candidates of k members with x-coordinates in
+    1..255: real share sets, random bodies, and mixed-device sets whose last
+    body is solved so that their interpolation is a valid identifier."""
+    source = RandomSource(rng.getrandbits(32))
+
+    def real_bodies(xs):
+        coeffs = source.randbytes(16 * (k - 1))
+        bodies = kernel.split_secret(identifier_new(source), k, 255, coeffs)
+        return [bodies[x - 1] for x in xs]
+
+    for i in range(300):
+        xs = rng.sample(range(1, 256), k)
+        kind = ("real", "random", "crafted")[i % 3]
+        if kind == "real":
+            bodies = real_bodies(xs)
+        elif kind == "random":
+            bodies = [rng.randbytes(16) for _ in xs]
+        else:
+            # Members from two devices; the last one is solved for.
+            first, second = real_bodies(xs), real_bodies(xs)
+            bodies = [(first, second)[j % 2][j] for j in range(k - 1)]
+            weights = kernel.weights_by_x(bytes(sorted(xs)))
+            rest = int.from_bytes(identifier_new(source), "big")
+            for x, body in zip(xs, bodies):
+                rest ^= int.from_bytes(body.translate(kernel.MUL[weights[x]]), "big")
+            inverse = kernel.MUL[gf_inv(weights[xs[-1]])]
+            bodies.append(rest.to_bytes(16, "big").translate(inverse))
+        yield xs, bodies, kind
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_syndrome_test_matches_interpolate_and_verify(k):
+    # The search's candidate test against the definition: interpolate at
+    # x=0, then verify the checksum. One memo serves every candidate, as it
+    # serves every try of a run, and each candidate is tested twice.
+    rng = random.Random(k)
+    memo = {}
+    passes = {"real": 0, "random": 0, "crafted": 0}
+    swapped_mismatches = 0
+    for xs, bodies, kind in syndrome_candidates(k, rng):
+        members = dict(zip(xs, bodies))
+        value = kernel.recover_secret(bytes(xs), b"".join(bodies))
+        verifies = identifier_verify(value)
+        for _ in range(2):
+            got = _candidate_value(members, memo, _syndrome_target(k))
+            assert (got is not None) == verifies, (kind, xs)
+            assert got is None or got == value
+        passes[kind] += verifies
+        swapped = _candidate_value(members, memo, _syndrome_target(k + 1))
+        swapped_mismatches += (swapped is not None) != verifies
+    assert passes == {"real": 100, "random": 0, "crafted": 100}
+    # The even/odd target matters: with the other parity's target, no
+    # verifying candidate passes.
+    assert swapped_mismatches == 200

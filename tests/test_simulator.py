@@ -223,6 +223,20 @@ def test_simulator_outputs_are_pinned():
     assert digest.hexdigest() == SIMULATOR_DIFFERENTIAL_DIGEST
 
 
+def test_field_run_with_a_checksum_false_accept_is_pinned():
+    # The 32-bit checksum passes a mixed-device candidate at about 2^-32 per
+    # try, and this lossy (3,5) field run meets one: a scanner recovers a
+    # value that is neither device's identifier. A candidate test that is not
+    # exactly interpolate-then-verify would miss it or find others.
+    result = run_simulation(SimConfig(
+        SchemeParams(3, 5), m_devices=2, scanners=4, t_share=5.0, adv_interval=0.1,
+        loss_rate=0.3, scan_mode="balanced", horizon=300.0, seed=9206925, recon_mode="cycle",
+    ))
+    assert result.spurious == 1
+    assert result.recoveries == 97
+    assert result.total_tries == 579
+
+
 def test_cycle_sweep_sees_only_earlier_receptions(monkeypatch):
     # With one beacon per 20 ms slot, two of these 128 devices start at phase
     # 0, so some emissions fall exactly on a cycle boundary. The sweep at a
