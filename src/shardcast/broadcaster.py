@@ -1,13 +1,16 @@
 """Device-side broadcast scheduling.
 
-A device walks its share set one share per t_share slot, in a fresh
-uniformly random order each cycle, emitting the current share every
-advertising interval. When the cycle completes or the set expires --
-whichever comes first -- the set is re-split and the link-layer address
-token rotates, so frames from different generations cannot be linked.
+A device airs one share per t_share slot, in a fresh uniformly random
+order each generation, emitting the current share every advertising
+interval. A generation lasts G = min(n * t_share, expiry): a full cycle,
+or less when the set expires first. Then the identifier is re-split and
+the link-layer address token rotates, so frames from different
+generations cannot be linked.
 
-All scheduling runs on the 625 microsecond advertising tick grid using
-integer arithmetic; seconds only appear at the API boundary.
+The schedule is arithmetic on the 625 microsecond advertising tick grid:
+a beacon at tick te falls in generation (te - start) // G, and in slot
+((te - start) % G) // t_share of it. Seconds only appear at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import InvalidConfig
-from .identity import ShareSet, Share, shareset_generate
+from .errors import BadLength, InvalidConfig
+from .identity import IDENTIFIER_LEN, Share
 from .rng import RandomSource
-from .shamir import SchemeParams
+from .shamir import SchemeParams, split
 
 TICK_S = 0.000625
 ADV_MIN_S = 0.020
@@ -40,8 +43,10 @@ class BroadcastConfig:
     expiry: float | None = None  # None: one full cycle, n * t_share
 
     def __post_init__(self):
-        if not 0 < self.t_share < math.inf:
-            raise InvalidConfig(f"t_share {self.t_share} is not positive and finite", "t_share")
+        # A cycle, n slots of t_share, needs a finite tick count.
+        if not 0 < self.params.n * self.t_share / TICK_S < math.inf:
+            raise InvalidConfig(f"t_share {self.t_share} is not positive with a finite cycle",
+                                "t_share")
         # Every layer counts slots and advertising in whole ticks.
         for name in ("t_share", "adv_interval"):
             value = getattr(self, name)
@@ -56,11 +61,11 @@ class BroadcastConfig:
         if self.adv_interval > self.t_share + 1e-9:
             raise InvalidConfig("adv_interval must not exceed t_share", "adv_interval", "t_share")
         # The rules above keep t_share and adv_interval above one tick; expiry
-        # needs its own check.
+        # needs its own check, and a finite tick count to round.
         if self.expiry is not None and not (
-            0 < self.expiry < math.inf and to_ticks(self.expiry) >= 1
+            0 < self.expiry / TICK_S < math.inf and to_ticks(self.expiry) >= 1
         ):
-            raise InvalidConfig(f"expiry must be finite and cover at least one {TICK_S} s tick",
+            raise InvalidConfig(f"expiry must be a finite count of at least one {TICK_S} s tick",
                                 "expiry")
 
     @property
@@ -114,50 +119,28 @@ class Broadcaster:
         rng: RandomSource,
         start: float = 0.0,
     ):
+        if len(identifier) != IDENTIFIER_LEN:
+            raise BadLength(f"identifier must be {IDENTIFIER_LEN} bytes, got {len(identifier)}")
         self.identifier = identifier
         self.config = config
         self._rng = rng
         self._t_share_ticks = to_ticks(config.t_share)
         self._adv_ticks = to_ticks(config.adv_interval)
-        self._expiry_ticks = to_ticks(config.effective_expiry)
-        start_tick = to_ticks(start)
-        self._next_emit = start_tick
-        self.generation = -1
-        self.share_set: ShareSet = None  # type: ignore[assignment]
-        self.mac_token = ""
-        self._regenerate(start_tick)
-
-    def _regenerate(self, at_tick: int) -> None:
-        self.generation += 1
-        self.share_set = shareset_generate(
-            self.identifier,
-            self.config.params,
-            self.config.effective_expiry,
-            self._rng,
-            created_at=at_tick * TICK_S,
-            generation=self.generation,
+        self._generation_ticks = min(
+            config.params.n * self._t_share_ticks, to_ticks(config.effective_expiry)
         )
-        order = list(self.share_set.shares)
-        self._rng.shuffle(order)
-        self._queue = order
-        self._queue_pos = 1
-        self._current = order[0]
-        self._expiry_at = at_tick + self._expiry_ticks
-        self._slot_end = at_tick + self._t_share_ticks
-        self._boundary = min(self._slot_end, self._expiry_at)
-        self.mac_token = _mac_token(self._rng)
+        self._start = self._next_emit = to_ticks(start)
+        self.generation = -1
+        self._regenerate()
 
-    def _advance_to(self, tick: int) -> None:
-        """Catch slot, cycle, and expiry boundaries up to ``tick``."""
-        while tick >= self._boundary:
-            boundary = self._boundary
-            if boundary == self._expiry_at or self._queue_pos == len(self._queue):
-                self._regenerate(boundary)
-            else:
-                self._current = self._queue[self._queue_pos]
-                self._queue_pos += 1
-                self._slot_end += self._t_share_ticks
-                self._boundary = min(self._slot_end, self._expiry_at)
+    def _regenerate(self) -> None:
+        """Draw the next generation: a fresh split in random order, and an address."""
+        self.generation += 1
+        pairs = split(self.identifier, self.config.params, self._rng)
+        order = [Share(share_id, body) for share_id, body in pairs]
+        self._rng.shuffle(order)
+        self._order = order
+        self.mac_token = _mac_token(self._rng)
 
     def _runs(self, limit: int) -> list[BeaconRun]:
         """The beacons after the last one emitted, up to tick ``limit``, as runs.
@@ -167,14 +150,18 @@ class Broadcaster:
         """
         out = []
         append = out.append
-        adv = self._adv_ticks
+        adv, slot, span = self._adv_ticks, self._t_share_ticks, self._generation_ticks
         te = self._next_emit
         while te <= limit:
-            if te >= self._boundary:
-                self._advance_to(te)
-            # Share, address and generation hold until the next boundary.
-            end = min(self._boundary, limit + 1)
-            append(_new_run((te, end, self._current, self.mac_token, self.generation)))
+            generation, offset = divmod(te - self._start, span)
+            # Every generation up to this beacon's is drawn, in order, even
+            # one too short to air a beacon.
+            while self.generation < generation:
+                self._regenerate()
+            i = offset // slot
+            # The slot ends after t_share, or when the generation does.
+            end = min(te - offset + min((i + 1) * slot, span), limit + 1)
+            append(_new_run((te, end, self._order[i], self.mac_token, generation)))
             te += (end - te + adv - 1) // adv * adv  # the first beacon at or after end
         self._next_emit = te
         return out

@@ -1,4 +1,4 @@
-"""Self-verifying device identifiers and their share sets.
+"""Self-verifying device identifiers and the share container.
 
 An identifier is 16 bytes: 12 random bytes followed by their CRC-32
 (IEEE 802.3) serialized big-endian. The checksum is what lets a receiver
@@ -11,10 +11,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-from . import shamir
 from .errors import BadLength
 from .rng import RandomSource
-from .shamir import SchemeParams
 
 RANDOM_LEN = 12
 CHECKSUM_LEN = 4
@@ -45,40 +43,3 @@ class Share:
     def __post_init__(self):
         if len(self.body) != IDENTIFIER_LEN:
             raise BadLength(f"share body must be {IDENTIFIER_LEN} bytes, got {len(self.body)}")
-
-
-@dataclass(frozen=True)
-class ShareSet:
-    """The n shares of one identifier generation."""
-
-    shares: tuple[Share, ...]
-    params: SchemeParams
-    created_at: float
-    expiry: float
-    generation: int = 0
-
-
-def default_expiry(params: SchemeParams, t_share: float) -> float:
-    """Lifetime covering one full broadcast cycle: n slots of t_share."""
-    return params.n * t_share
-
-
-def shareset_generate(
-    identifier: bytes,
-    params: SchemeParams,
-    expiry: float,
-    rng: RandomSource,
-    created_at: float = 0.0,
-    generation: int = 0,
-) -> ShareSet:
-    """Split ``identifier`` into a fresh set of n shares."""
-    if len(identifier) != IDENTIFIER_LEN:
-        raise BadLength(f"identifier must be {IDENTIFIER_LEN} bytes, got {len(identifier)}")
-    pairs = shamir.split(identifier, params, rng)
-    shares = tuple(Share(share_id, body) for share_id, body in pairs)
-    return ShareSet(shares, params, created_at, expiry, generation)
-
-
-def shareset_expired(share_set: ShareSet, now: float) -> bool:
-    """Inclusive boundary: the set is already stale at created_at + expiry."""
-    return now >= share_set.created_at + share_set.expiry

@@ -53,6 +53,8 @@ def scan_window_params(mode: str) -> tuple[float, float]:
             window = interval = math.nan
         if 0 < window <= interval < math.inf:
             # The simulator scans whole ticks, and interval >= window.
+            if interval / TICK_S == math.inf:
+                raise InvalidConfig(f"scan interval {interval} s is too long", "scan_mode")
             if to_ticks(window) < 1:
                 raise InvalidConfig(
                     f"scan window {window} s is shorter than one {TICK_S} s tick", "scan_mode"
@@ -87,8 +89,8 @@ class SimConfig:
         if self.recon_mode not in RECON_MODES:
             raise InvalidConfig(f"unknown recon_mode {self.recon_mode!r}", "recon_mode")
         scan_window_params(self.scan_mode)  # validates
-        if self.horizon is not None and not 0 < self.horizon < math.inf:
-            raise InvalidConfig("horizon must be positive and finite", "horizon")
+        if self.horizon is not None and not 0 < self.horizon / TICK_S < math.inf:
+            raise InvalidConfig("horizon must be positive with a finite tick count", "horizon")
         if self.max_tries is not None and self.max_tries < 1:
             raise InvalidConfig("max_tries must be at least 1", "max_tries")
         if self.eviction not in ("auto", "off") and (
@@ -150,22 +152,24 @@ def run_simulation(config: SimConfig) -> SimResult:
     recon_rngs = [rng.derive() for _ in range(config.scanners)]
 
     # Ground truth: a reverse map from the dedup key of every share on air
-    # to its (device, generation), and every slot that aired. One event per
-    # beacon; a beacon's run carries its share.
+    # to its (device, generation), and the count of slots that aired: one
+    # runs_before call gives one run per slot. One event per beacon; a
+    # beacon's run carries its share.
     identifiers: list[bytes] = []
     events: list[tuple[int, int, BeaconRun]] = []  # (tick, device, run)
     origin: dict[tuple[str, int, bytes], tuple[int, int]] = {}
-    slot_instances: set[tuple[int, int, int]] = set()  # (device, generation, share id)
+    slot_instances = 0
     adv_ticks = to_ticks(config.adv_interval)
     for dev in range(m):
         dev_rng = RandomSource(device_seeds[dev])
         identifier = identifier_new(dev_rng)
         identifiers.append(identifier)
         device = Broadcaster(identifier, bcast, dev_rng, start=device_phases[dev])
-        for run in device.runs_before(horizon):  # every slot airs one share
+        runs = device.runs_before(horizon)  # every slot airs one share
+        slot_instances += len(runs)
+        for run in runs:
             share = run.share
             origin.setdefault((run.mac_token, share.share_id, share.body), (dev, run.generation))
-            slot_instances.add((dev, run.generation, share.share_id))
             events.extend(zip(range(run.first_tick, run.end_tick, adv_ticks),
                               repeat(dev), repeat(run)))
     events.sort()  # (tick, device) is unique, so runs are never compared
@@ -302,7 +306,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         spurious=spurious,
         emitted=len(events),
         received=received,
-        slot_instances=len(slot_instances),
+        slot_instances=slot_instances,
         slots_received=[len(s) for s in slots_hit],
         identifiers=identifiers,
         resolved_devices=resolved_devices,

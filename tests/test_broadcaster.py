@@ -15,7 +15,7 @@ from shardcast.broadcaster import (
     Broadcaster,
     to_ticks,
 )
-from shardcast.errors import InvalidConfig
+from shardcast.errors import BadLength, InvalidConfig
 from shardcast.identity import identifier_new
 from shardcast.rng import RandomSource
 from shardcast.shamir import SchemeParams, recover
@@ -63,10 +63,30 @@ def test_t_share_must_lie_on_the_tick_grid():
 def test_expiry_must_cover_a_tick():
     params = SchemeParams(3, 5)
     assert make_device(expiry=TICK_S).emissions_before(0.01)  # one tick is enough
-    for expiry in (0.0001, math.inf, math.nan):  # under one tick, or no tick count
+    for expiry in (0.0001, math.inf, math.nan, 1e308):  # under one tick, or no tick count
         with pytest.raises(InvalidConfig) as info:
             BroadcastConfig(params, expiry=expiry)
         assert info.value.fields == ("expiry",)
+
+
+def test_cycle_must_have_a_finite_tick_count():
+    # 1e305 s is a finite tick count, but a cycle of 255 such slots is not.
+    with pytest.raises(InvalidConfig) as info:
+        BroadcastConfig(SchemeParams(3, 255), t_share=1e305)
+    assert info.value.fields == ("t_share",)
+
+
+def test_default_expiry_is_one_cycle():
+    assert BroadcastConfig(SchemeParams(3, 5), 5.0).effective_expiry == 25.0
+    assert BroadcastConfig(SchemeParams(2, 6), 0.5, 0.5).effective_expiry == 3.0
+    assert BroadcastConfig(SchemeParams(2, 6), 0.5, 0.5, expiry=1.0).effective_expiry == 1.0
+
+
+@pytest.mark.parametrize("length", [15, 17])
+def test_identifier_length_is_checked_at_construction(length):
+    config = BroadcastConfig(SchemeParams(3, 5))
+    with pytest.raises(BadLength):
+        Broadcaster(bytes(length), config, RandomSource(1))
 
 
 def test_one_share_per_slot_walk():

@@ -233,7 +233,9 @@ def test_simulate_single_run_row(capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--horizon", "inf"], ["--horizon", "nan"], ["--t-share", "inf"],
-     ["--scan-mode", "custom:1:inf"]],
+     ["--scan-mode", "custom:1:inf"],
+     # Finite, but with no finite tick count (n * t_share for --t-share).
+     ["--horizon", "1e308"], ["--scan-mode", "custom:1e308:1e308"], ["--t-share", "1e305"]],
 )
 def test_simulate_rejects_non_finite_values(flags, capsys):
     assert main(["simulate", "--k", "3", "--n", "5", "--seed", "1", *flags]) == 1

@@ -1,4 +1,4 @@
-"""Self-verifying identifiers and share-set lifecycle."""
+"""Self-verifying identifiers and the share container."""
 
 import zlib
 
@@ -10,14 +10,10 @@ from shardcast.identity import (
     IDENTIFIER_LEN,
     RANDOM_LEN,
     Share,
-    default_expiry,
     identifier_new,
     identifier_verify,
-    shareset_expired,
-    shareset_generate,
 )
 from shardcast.rng import RandomSource
-from shardcast.shamir import SchemeParams
 
 from oracles import crc32_ref
 
@@ -90,28 +86,3 @@ def test_share_body_length_enforced():
         Share(1, bytes(15))
     with pytest.raises(BadLength):
         Share(1, bytes(17))
-
-
-def test_shareset_generate_and_recover_ids():
-    rng = RandomSource(7)
-    identifier = identifier_new(rng)
-    params = SchemeParams(3, 5)
-    share_set = shareset_generate(identifier, params, expiry=25.0, rng=rng)
-    assert [s.share_id for s in share_set.shares] == [1, 2, 3, 4, 5]
-    assert share_set.params == params
-    assert share_set.generation == 0
-    with pytest.raises(BadLength):
-        shareset_generate(b"short", params, 25.0, rng)
-
-
-def test_default_expiry_is_one_cycle():
-    assert default_expiry(SchemeParams(3, 5), 5.0) == 25.0
-    assert default_expiry(SchemeParams(2, 6), 0.5) == 3.0
-
-
-def test_expiry_boundary_is_inclusive():
-    rng = RandomSource(1)
-    share_set = shareset_generate(identifier_new(rng), SchemeParams(2, 3), 10.0, rng, created_at=100.0)
-    assert not shareset_expired(share_set, 109.999)
-    assert shareset_expired(share_set, 110.0)
-    assert shareset_expired(share_set, 200.0)

@@ -300,16 +300,16 @@ def test_incompatible_pool_does_not_loop_forever():
 
 
 UNSATISFIABLE_POOL = textwrap.dedent("""
-    from shardcast.identity import Share, identifier_new, shareset_generate
+    from shardcast.identity import Share, identifier_new
     from shardcast.reconstructor import ReceivedShare, Reconstructor
     from shardcast.rng import RandomSource
-    from shardcast.shamir import SchemeParams
+    from shardcast.shamir import SchemeParams, split
 
     params = SchemeParams(3, 5)
     rng = RandomSource(1)
     id_a, id_b = identifier_new(rng), identifier_new(rng)
-    a = shareset_generate(id_a, params, 25.0, rng).shares
-    b = shareset_generate(id_b, params, 25.0, rng).shares
+    a = [Share(*pair) for pair in split(id_a, params, rng)]
+    b = [Share(*pair) for pair in split(id_b, params, rng)]
     recon = Reconstructor(params, RandomSource(2))
     found = []
     for mac, shares, ids in (("a", a, (1, 2)), ("b", b, (2, 3))):

@@ -56,7 +56,8 @@ def test_scan_window_params_custom():
 
 @pytest.mark.parametrize(
     "mode",
-    ["idle", "custom:3:1", "custom:0:1", "custom:1", "custom:a:b", "", "custom:0.0001:1"],
+    ["idle", "custom:3:1", "custom:0:1", "custom:1", "custom:a:b", "", "custom:0.0001:1",
+     "custom:1e308:1e308", "custom:1:1e308"],  # no finite tick count
 )
 def test_scan_window_params_rejects(mode):
     with pytest.raises(ValueError):
@@ -475,6 +476,10 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("scheme = 3:5\nt_share = 0.5\n", 2),  # longer than the default adv_interval
         ("scheme = 3:5\nt_share = 1.0003\n", 2),  # off the 625 us tick grid
         ("scheme = 3:5\nadv_interval = 2\nt_share = 1\n", 2),
+        # No finite tick count: the horizon, the scan interval, or a cycle of 5 slots.
+        ("scheme = 3:5\nhorizon = 1e308\n", 2),
+        ("scheme = 3:5\nscan_mode = custom:1e308:1e308\n", 2),
+        ("scheme = 3:5\nt_share = 1e305\n", 2),
     ],
 )
 def test_load_config_errors(tmp_path, text, line):
