@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 
 from .beacon import DEFAULT_MFG_ID, DEFAULT_REF_RSSI, decode_frame, encode_frame
-from .errors import ParseError, ShardcastError
+from .errors import ParseError, ShardcastError, utf8_text
 from .exposure import (
     ExposureScheme,
     compute_scheme_exposure,
@@ -97,17 +97,15 @@ def _parse_share_line(text: str, lineno: int) -> tuple[int, bytes]:
 
 
 def _read_share_lines(path: str | None) -> list[tuple[int, bytes]]:
-    fh = sys.stdin if path in (None, "-") else open(path, encoding="utf-8")
-    try:
+    # On stdin, a byte that is not UTF-8 fails its line's parse when the
+    # interpreter keeps it as a lone surrogate (a C locale or UTF-8 mode).
+    with nullcontext(sys.stdin) if path in (None, "-") else utf8_text(path) as fh:
         shares = []
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if text:
                 shares.append(_parse_share_line(text, lineno))
         return shares
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
 
 
 # -- subcommands ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+from contextlib import contextmanager
+
 
 class ShardcastError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,6 +45,24 @@ class ParseError(ShardcastError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+@contextmanager
+def utf8_text(path: str):
+    """``path`` opened as UTF-8 text. A byte that is not UTF-8 fails the read;
+    only then is the file scanned again, for a ParseError at that byte's line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # Lines numbered as the read numbers them; a bad byte is a lone surrogate.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(lineno, "not UTF-8 text") from None
+        raise  # no bad byte now: the file changed since the read
 
 
 class EmptyFile(ShardcastError):

@@ -32,7 +32,7 @@ from itertools import chain, islice
 from operator import le, sub
 from typing import Iterable, TextIO
 
-from .errors import EmptyFile, InvalidConfig, InvalidScheme, ParseError
+from .errors import EmptyFile, InvalidConfig, InvalidScheme, ParseError, utf8_text
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def read_sightings(path: str) -> SightingLog:
     no data rows are present.
     """
     pairs: dict[tuple[str, str], array] = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         numbered = enumerate(fh, start=1)
         for lineno, line in numbered:
             if line.strip():

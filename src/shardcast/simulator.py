@@ -22,7 +22,7 @@ from itertools import repeat
 from typing import Iterable, TextIO
 
 from .broadcaster import BeaconRun, BroadcastConfig, Broadcaster, TICK_S, to_ticks
-from .errors import EmptyConfigList, InvalidConfig, InvalidParams, ParseError
+from .errors import EmptyConfigList, InvalidConfig, InvalidParams, ParseError, utf8_text
 from .identity import identifier_new
 from .reconstructor import (
     ReceivedShare,
@@ -53,8 +53,7 @@ def scan_window_params(mode: str) -> tuple[float, float]:
             window = interval = math.nan
         if 0 < window <= interval < math.inf:
             # The simulator scans whole ticks, and interval >= window.
-            if interval / TICK_S == math.inf:
-                raise InvalidConfig(f"scan interval {interval} s is too long", "scan_mode")
+            to_ticks(interval, "scan_mode")
             if to_ticks(window) < 1:
                 raise InvalidConfig(
                     f"scan window {window} s is shorter than one {TICK_S} s tick", "scan_mode"
@@ -78,7 +77,7 @@ class SimConfig:
     recon_mode: str = "cycle"  # or "arrival"
     max_tries: int | None = None
     group_by_mac: bool = False
-    eviction: str | float = "auto"  # "auto": expiry + one slot; "off"; or seconds
+    eviction: str | float = "auto"  # "auto": one cycle + one slot; "off"; or seconds
 
     def __post_init__(self):
         for name in ("m_devices", "scanners", "trials"):
@@ -89,8 +88,8 @@ class SimConfig:
         if self.recon_mode not in RECON_MODES:
             raise InvalidConfig(f"unknown recon_mode {self.recon_mode!r}", "recon_mode")
         scan_window_params(self.scan_mode)  # validates
-        if self.horizon is not None and not 0 < self.horizon / TICK_S < math.inf:
-            raise InvalidConfig("horizon must be positive with a finite tick count", "horizon")
+        if self.horizon is not None and not 0 < self.horizon:
+            raise InvalidConfig("horizon must be positive", "horizon")
         if self.max_tries is not None and self.max_tries < 1:
             raise InvalidConfig("max_tries must be at least 1", "max_tries")
         if self.eviction not in ("auto", "off") and (
@@ -98,6 +97,7 @@ class SimConfig:
         ):
             raise InvalidConfig("eviction must be auto, off, or finite seconds >= 0", "eviction")
         self.broadcast_config()  # the advertising rules
+        to_ticks(self.effective_horizon, "horizon")  # a finite tick count
 
     @property
     def effective_horizon(self) -> float:
@@ -110,7 +110,7 @@ class SimConfig:
         if self.eviction == "off":
             return None
         if self.eviction == "auto":
-            return self.broadcast_config().effective_expiry + self.t_share
+            return self.params.n * self.t_share + self.t_share
         return float(self.eviction)
 
 
@@ -220,7 +220,7 @@ def run_simulation(config: SimConfig) -> SimResult:
                 counts[source] = counts.get(source, 0) + 1
             if max(counts.values(), default=0) < k:
                 break
-            hit = recon.run(at, budget=None)
+            hit = recon.run(at)  # budget: the config's max_tries; none when it is None
             if hit is None:
                 break
             note_recovery(scanner, hit)
@@ -415,7 +415,7 @@ def load_sim_configs(path: str) -> list[SimConfig]:
     and a value SimConfig rejects raises ParseError at the line that set it.
     """
     raw: dict[str, tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, text in enumerate(fh, start=1):
             text = text.split("#", 1)[0].strip()
             if not text:

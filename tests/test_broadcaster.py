@@ -1,4 +1,5 @@
-"""Broadcast scheduling: slots, cycles, expiry, and address rotation."""
+"""Broadcast scheduling: slots, one generation per cycle, address rotation,
+and the seconds-to-ticks rule at every entry point."""
 
 import hashlib
 import math
@@ -25,9 +26,9 @@ CHI2_CRIT_DF23_P01 = 41.638
 MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 
 
-def make_device(seed=4, k=3, n=5, t_share=5.0, adv=1.0, expiry=None, start=0.0):
+def make_device(seed=4, k=3, n=5, t_share=5.0, adv=1.0, start=0.0):
     rng = RandomSource(seed)
-    config = BroadcastConfig(SchemeParams(k, n), t_share=t_share, adv_interval=adv, expiry=expiry)
+    config = BroadcastConfig(SchemeParams(k, n), t_share=t_share, adv_interval=adv)
     return Broadcaster(identifier_new(rng), config, rng, start=start)
 
 
@@ -45,8 +46,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BroadcastConfig(params, t_share=0.5, adv_interval=1.0)  # longer than a slot
     with pytest.raises(ValueError):
-        BroadcastConfig(params, expiry=0.0)
-    with pytest.raises(ValueError):
         BroadcastConfig(params, t_share=0)
 
 
@@ -60,26 +59,11 @@ def test_t_share_must_lie_on_the_tick_grid():
         assert "0.000625" in str(info.value)
 
 
-def test_expiry_must_cover_a_tick():
-    params = SchemeParams(3, 5)
-    assert make_device(expiry=TICK_S).emissions_before(0.01)  # one tick is enough
-    for expiry in (0.0001, math.inf, math.nan, 1e308):  # under one tick, or no tick count
-        with pytest.raises(InvalidConfig) as info:
-            BroadcastConfig(params, expiry=expiry)
-        assert info.value.fields == ("expiry",)
-
-
 def test_cycle_must_have_a_finite_tick_count():
     # 1e305 s is a finite tick count, but a cycle of 255 such slots is not.
     with pytest.raises(InvalidConfig) as info:
         BroadcastConfig(SchemeParams(3, 255), t_share=1e305)
     assert info.value.fields == ("t_share",)
-
-
-def test_default_expiry_is_one_cycle():
-    assert BroadcastConfig(SchemeParams(3, 5), 5.0).effective_expiry == 25.0
-    assert BroadcastConfig(SchemeParams(2, 6), 0.5, 0.5).effective_expiry == 3.0
-    assert BroadcastConfig(SchemeParams(2, 6), 0.5, 0.5, expiry=1.0).effective_expiry == 1.0
 
 
 @pytest.mark.parametrize("length", [15, 17])
@@ -171,21 +155,9 @@ def test_cycle_order_is_uniform_permutation():
     assert chi2 < CHI2_CRIT_DF23_P01, chi2
 
 
-def test_expiry_regenerates_mid_cycle():
-    # Expiry shorter than a full cycle forces regeneration before all n
-    # shares have aired; the boundary is inclusive.
-    device = make_device(seed=5, t_share=5.0, adv=1.0, n=5, k=3, expiry=12.0)
-    emissions = device.emissions_before(24.0)
-    gen_at = {e.t: e.generation for e in emissions}
-    assert gen_at[11.0] == 0
-    assert gen_at[12.0] == 1  # regenerated exactly at the expiry instant
-    assert gen_at[23.0] == 1
-    gen0_ids = {e.share.share_id for e in emissions if e.generation == 0}
-    assert len(gen0_ids) == 3  # only slots 0..2 aired before expiry
-
-
 def test_expiry_equal_to_cycle_is_single_boundary():
-    device = make_device(seed=5, t_share=1.0, adv=1.0, n=5, k=3, expiry=5.0)
+    # A generation is one cycle: it ends after n slots, inclusive.
+    device = make_device(seed=5, t_share=1.0, adv=1.0, n=5, k=3)
     emissions = device.emissions_before(10.0)
     assert {e.generation for e in emissions[:5]} == {0}
     assert {e.generation for e in emissions[5:]} == {1}
@@ -215,34 +187,39 @@ def test_emissions_before_is_strict():
     device = make_device(seed=2, t_share=1.0, adv=1.0)
     emissions = device.emissions_before(3.0)
     assert [e.t for e in emissions] == [0.0, 1.0, 2.0]
+    # tick(now) includes a beacon at now.
+    ticked = make_device(seed=2, t_share=1.0, adv=1.0).tick(3.0)
+    assert [e.t for e in ticked] == [0.0, 1.0, 2.0, 3.0]
 
 
-# sha256 of every emission and of the stream's next draw, recorded before
-# the broadcaster skipped its boundary check between boundaries. Keys:
-# (k, n, t_share, adv_interval, expiry, start, horizon).
+# sha256 of every emission and of the stream's next draw. Keys:
+# (k, n, t_share, adv_interval, start, horizon). Cases 0, 2 and 3 were
+# recorded before the broadcaster skipped its boundary check between
+# boundaries, cases 1, 4, 5 and 6 at the last schedule that had a share-set
+# expiry setting, with none set.
 EMISSION_DIGESTS = {
-    (3, 5, 5.0, 1.0, None, 0.0, 60.0):
+    (3, 5, 5.0, 1.0, 0.0, 60.0):
         "27d18d33e6cc67e1509ef71ec9a03611b7ce103d1e61c8ccba36269984c4f878",
-    (3, 5, 1.0, 0.1, 2.5, 0.3125, 30.0):  # expiry shorter than the 5 s cycle
-        "2b1e19747b625209c26db40e51931d81a48f520e48bbee451366b77c41e081cb",
-    (2, 3, 1.0, 0.02, 7.0, 0.0, 20.0):  # longer than the 3 s cycle
+    (3, 5, 1.0, 0.1, 0.3125, 30.0):
+        "99211127bbb378135618cfc8fdc0830adcd8ed7393fd542272500ccae7ffd8d7",
+    (2, 3, 1.0, 0.02, 0.0, 20.0):  # recorded with a 7 s expiry, past the 3 s cycle
         "d7a663ed817e844b0f1342dafca61ad553c1fb5a27e6d769dc30c809334d0c8d",
-    (4, 6, 0.2, 0.02, None, 0.05, 10.0):
+    (4, 6, 0.2, 0.02, 0.05, 10.0):
         "f2ac1ec09def5588246c8edfec11f2e6e3a87fe365043dda16347e5fc2b24895",
-    (2, 2, 0.5, 0.5, 0.5, 0.125, 20.0):  # one slot per generation
-        "1458c500d67abe16127e148c877bebd61c0c9faae1ee3c9439c3f95acce3bb0f",
-    (5, 6, 10.0, 1.0, 30.0, 3.0, 300.0):
-        "32ba63ca56720d0164e156258fba617a35c7e8ca3a071a3d1c773190ce05c690",
-    (3, 5, 2.0, 0.1, 0.03, 0.0, 5.0):  # several generations between beacons
-        "f7befbf1b3ad20d77c37be7cd2ead22ff60b75b51a5fd3d8432ddb1aa2936a6e",
+    (2, 2, 0.5, 0.5, 0.125, 20.0):  # one beacon per slot
+        "1a94c2f758f770b4e34aa8d0cf9d009994b720226675ab7af13f34b99a95b1af",
+    (5, 6, 10.0, 1.0, 3.0, 300.0):
+        "9c80f0423570d5ab0049205643ec7e6d32a1f6afa94ed12f48ffb58a9fa451c2",
+    (3, 5, 2.0, 0.3, 0.0, 25.0):  # an advertising interval that does not divide the slot
+        "f34eac80424f3c98fd912f3cd6359ee72ee4945e3f806b1e6cc22e6d8dbb56a6",
 }
 
 
 @pytest.mark.parametrize("case", list(EMISSION_DIGESTS))
 def test_emission_schedule_is_pinned(case):
-    k, n, t_share, adv, expiry, start, horizon = case
+    k, n, t_share, adv, start, horizon = case
     rng = RandomSource(7)
-    config = BroadcastConfig(SchemeParams(k, n), t_share, adv, expiry)
+    config = BroadcastConfig(SchemeParams(k, n), t_share, adv)
     device = Broadcaster(identifier_new(rng), config, rng, start=start)
     digest = hashlib.sha256()
     for e in device.emissions_before(horizon):
@@ -254,17 +231,16 @@ def test_emission_schedule_is_pinned(case):
 
 @pytest.mark.parametrize("case", list(EMISSION_DIGESTS))
 def test_tick_in_pieces_matches_one_call(case):
-    k, n, t_share, adv, expiry, start, horizon = case
-    config = BroadcastConfig(SchemeParams(k, n), t_share, adv, expiry)
-    whole = make_device(seed=11, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry, start=start)
+    k, n, t_share, adv, start, horizon = case
+    whole = make_device(seed=11, k=k, n=n, t_share=t_share, adv=adv, start=start)
     expected = whole.emissions_before(horizon)
-    device = make_device(seed=11, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry, start=start)
+    device = make_device(seed=11, k=k, n=n, t_share=t_share, adv=adv, start=start)
     steps = RandomSource(len(expected))
     last = (to_ticks(horizon) - 1) * TICK_S
     now, got = 0.0, []
     while now < last:
         # Steps from under one tick to past several boundaries, and a look back.
-        now = min(last, now + steps.random() * 3 * config.effective_expiry)
+        now = min(last, now + steps.random() * 3 * n * t_share)
         got += device.tick(now)
         got += device.tick(now - steps.random())
     got += device.tick(last)
@@ -273,10 +249,9 @@ def test_tick_in_pieces_matches_one_call(case):
 
 @pytest.mark.parametrize("case", list(EMISSION_DIGESTS))
 def test_runs_expand_to_emissions(case):
-    k, n, t_share, adv, expiry, start, horizon = case
-    by_runs = make_device(seed=7, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry, start=start)
-    by_beacons = make_device(seed=7, k=k, n=n, t_share=t_share, adv=adv, expiry=expiry,
-                             start=start)
+    k, n, t_share, adv, start, horizon = case
+    by_runs = make_device(seed=7, k=k, n=n, t_share=t_share, adv=adv, start=start)
+    by_beacons = make_device(seed=7, k=k, n=n, t_share=t_share, adv=adv, start=start)
     runs = by_runs.runs_before(horizon)
     adv_ticks = to_ticks(adv)
     expanded = [
@@ -301,15 +276,32 @@ def test_emissions_are_immutable():
             setattr(emission, field, None)
 
 
-def test_sighting_row_projection():
-    device = make_device(seed=3)
-    emission = device.emissions_before(1.0)[0]
-    row = emission.sighting_row("edge-1", -70)
-    assert row == (0, emission.mac_token, "edge-1", -70)
-
-
 def test_tick_grid_arithmetic():
     assert to_ticks(0.000625) == 1
     assert to_ticks(1.0) == 1600
     assert to_ticks(10.24) == 16384
     assert TICK_S == 0.000625
+
+
+@pytest.mark.parametrize("seconds", [math.inf, -math.inf, math.nan, 1e308, -1e308])
+def test_to_ticks_rejects_seconds_with_no_finite_tick_count(seconds):
+    with pytest.raises(InvalidConfig) as info:
+        to_ticks(seconds, "horizon")
+    assert info.value.fields == ("horizon",)
+    with pytest.raises(InvalidConfig) as info:
+        to_ticks(seconds)
+    assert info.value.fields == ("seconds",)
+
+
+@pytest.mark.parametrize("seconds", [math.inf, -math.inf, math.nan, 1e308])
+def test_entry_points_reject_seconds_with_no_finite_tick_count(seconds):
+    with pytest.raises(InvalidConfig) as info:
+        make_device(start=seconds)
+    assert info.value.fields == ("start",)
+    for call, field in (("runs_before", "horizon"), ("tick", "now"),
+                        ("emissions_before", "horizon")):
+        device = make_device()
+        with pytest.raises(InvalidConfig) as info:
+            getattr(device, call)(seconds)
+        assert info.value.fields == (field,), call
+        assert device.emissions_before(1.0) == make_device().emissions_before(1.0), call

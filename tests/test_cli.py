@@ -76,6 +76,11 @@ def test_split_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["split", "--k", "2", "--n", "3"])  # no secret source
     assert info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["split", "--k", "2", "--n", "3", "--secret-hex", ""])
+    assert info.value.code == 2
+    assert "--secret-hex must not be empty" in capsys.readouterr().err
 
 
 def test_recover_roundtrip_from_file(tmp_path, capsys):
@@ -259,6 +264,7 @@ def test_simulate_requires_scheme_or_config(capsys):
         (["simulate", "--k", "3", "--n", "5", "--config", str(TABLE_CFG)],
          f"unrecognized arguments: --config {TABLE_CFG}"),
         (["sweep"], "the following arguments are required: --config"),
+        (["simulate", "--k", "6", "--n", "5"], "need 2 <= k <= n <= 255"),
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -303,6 +309,35 @@ def test_sweep_bad_config_line(tmp_path, capsys):
     cfg.write_text("scheme = 3:5\nwidgets = 4\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [(["sweep", "--config"], "scheme = 3:5\nnodes = 2\nseed = 1\xff\n"),
+     (["analyze", "--k", "3", "--n", "5", "--t", "1", "--input"],
+      "0,d,s,-1\n1,d,s,-1\n2,d\xff,s,-1\n"),
+     (["encounters", "--input"], "ts,dev,sc,rssi\n0,d,s,-1\n1,\xff,s,-1\n"),
+     (["recover", "--input"], f"1:{SECRET}\n2:{SECRET}\n\xff3:{SECRET}\n")],
+    ids=["sweep", "analyze", "encounters", "recover"],
+)
+def test_input_that_is_not_utf8_names_the_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("latin-1"))
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: line 3: not UTF-8 text"]
+
+
+def test_recover_names_the_line_on_stdin_that_is_not_utf8():
+    # In UTF-8 mode stdin keeps a byte that is not UTF-8 as a lone surrogate.
+    proc = subprocess.run([sys.executable, "-m", "shardcast", "recover"],
+                          env={**CHILD_ENV, "PYTHONUTF8": "1"}, capture_output=True,
+                          input=f"1:{SECRET}\n2:\xff{SECRET[2:]}\n".encode("latin-1"))
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        f"error: line 2: bad hex body '\\udcff{SECRET[2:]}'"]
 
 
 def test_config_rejects_scenario_flags(tmp_path, capsys):
@@ -454,6 +489,12 @@ def test_encounters_rejects_bad_gaps(capsys):
             main(["encounters", "--input", str(TRACE), "--gaps", gaps])
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
+    for argv in (["encounters"], ["analyze", "--k", "5", "--n", "6", "--t", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--input", str(TRACE), "--gaps", ","])  # a list with no gap in it
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--gaps must not be empty" in captured.err
 
 
 def test_analyze_rejects_negative_gaps_before_reading(tmp_path, capsys):

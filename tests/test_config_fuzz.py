@@ -1,8 +1,8 @@
 """Seeded fuzz of configuration validation: mutated lines of the bundled
 table config through `load_sim_configs`, and random scan modes through
 `scan_window_params` and `SimConfig`. Every call returns or raises a
-ShardcastError. Nothing is simulated: a fuzzed config can be a 72-row
-sweep."""
+ShardcastError, and a byte that is not UTF-8 is a ParseError at its line.
+Nothing is simulated: a fuzzed config can be a 72-row sweep."""
 
 import math
 import random
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from shardcast.broadcaster import TICK_S, to_ticks
-from shardcast.errors import ShardcastError
+from shardcast.errors import ParseError, ShardcastError
 from shardcast.shamir import SchemeParams
 from shardcast.simulator import SimConfig, load_sim_configs, scan_window_params
 
@@ -26,6 +26,9 @@ VALUES = ("", "0", "-1", "1", "0.5", "1.0003", "0.02", "10.24", "1e308", "-1e308
 KEYS = ("scheme", "nodes", "k", "n", "scanners", "t_share", "adv_interval", "loss_rate",
         "scan_mode", "horizon", "seed", "trials", "recon_mode", "max_tries", "group_by_mac",
         "eviction", "widgets")
+# A byte no UTF-8 text holds, a stray continuation byte, a lead byte cut
+# short, and an encoded surrogate.
+NOT_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80")
 NUMBERS = ("0", "1", "2.5", "-1", "1e308", "1e305", "1e300", "1e-320", "0.0001", "0.000625",
            "inf", "nan", "", " 3 ", "1_0", "x")
 
@@ -101,6 +104,21 @@ def test_load_mutated_table_configs(seed, tmp_path):
             to_ticks(config.effective_horizon)
         outcomes["loaded"] += 1
     assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_configs_that_are_not_utf8_fail_at_the_line(seed, tmp_path):
+    path = tmp_path / "mutated.cfg"
+    rng = random.Random(seed)
+    for text in mutated_configs(seed, 300):
+        lines = text.encode("utf-8").split(b"\n")[:-1]
+        at = rng.randrange(len(lines))
+        cut = rng.randrange(len(lines[at]) + 1)
+        lines[at] = lines[at][:cut] + rng.choice(NOT_UTF8) + lines[at][cut:]
+        path.write_bytes(b"\n".join(lines) + rng.choice((b"\n", b"")))
+        with pytest.raises(ParseError) as info:
+            load_sim_configs(str(path))
+        assert info.value.line == at + 1, lines[at]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -127,6 +127,17 @@ def test_read_reports_offending_line(tmp_path, body, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("rows_before", [2, 5000])  # inside and past the first read chunk
+def test_read_rejects_bytes_that_are_not_utf8(tmp_path, rows_before):
+    path = tmp_path / "bad.csv"
+    good = "".join(f"{ts},devA,scan1,-50\n" for ts in range(rows_before))
+    path.write_bytes(b"ts,dev,sc,rssi\n" + good.encode() + b"9,dev\xff,scan1,-50\n1,d,s,-1\n")
+    with pytest.raises(ParseError) as info:
+        read_sightings(str(path))
+    assert info.value.line == rows_before + 2
+    assert str(info.value).endswith("not UTF-8 text")
+
+
 def test_file_and_memory_logs_agree(tmp_path):
     scheme = ExposureScheme(3, 5, 2)
     for seed in range(5):

@@ -91,6 +91,20 @@ def test_duplicate_receptions_do_not_enter_pool():
     assert recon.pool_size == 2
 
 
+def test_duplicate_reception_skips_the_search():
+    params = SchemeParams(3, 5)
+    rng = RandomSource(53)
+    identifier, entries = device_shares(rng, params, "aa:aa:aa:aa:aa:aa")
+    recon = Reconstructor(params, RandomSource(3))
+    for entry in entries[:3]:
+        assert recon.add_share(entry)
+    # The pool could recover, but a repeat of a pooled share runs no search.
+    repeat = ReceivedShare(entries[0].share, entries[0].mac_token, 1.0)
+    assert recon.on_share_received(repeat) == []
+    assert recon.total_tries == 0 and recon.pool_size == 3
+    assert recon.on_share_received(entries[3]) == [identifier]
+
+
 def test_completeness_on_mixed_pools():
     # All devices of a complete mixed pool are recovered with a huge
     # budget, every recovered value passes verification, and recovered
@@ -285,6 +299,28 @@ def test_report_line_round_trip():
     line = report.to_line()
     assert str(report.total_tries) in line
     assert "1" in line
+
+
+def test_group_by_mac_exhaustive_check_never_mixes_addresses():
+    # Each address holds one share of X and one of Y, so every one-address
+    # candidate fails, and only a pair across the two addresses verifies.
+    params = SchemeParams(2, 3)
+    rng = RandomSource(61)
+    x = split(identifier_new(rng), params, rng)
+    y = split(identifier_new(rng), params, rng)
+    pool = [ReceivedShare(Share(*x[0]), "a", 0.0), ReceivedShare(Share(*y[1]), "a", 0.0),
+            ReceivedShare(Share(*y[0]), "b", 0.0), ReceivedShare(Share(*x[1]), "b", 0.0)]
+    for group_by_mac in (True, False):
+        recon = Reconstructor(params, RandomSource(13), group_by_mac=group_by_mac)
+        for entry in pool:
+            recon.add_share(entry)
+        hit = recon.run(0.0)
+        if group_by_mac:
+            # Unbudgeted, it stops after C(4, 2) tries, once the exhaustive
+            # check has skipped both mixed pairs.
+            assert hit is None and recon.total_tries == math.comb(4, 2)
+        else:
+            assert hit is not None and len({e.mac_token for e in hit.sources}) == 2
 
 
 def test_incompatible_pool_does_not_loop_forever():

@@ -98,7 +98,7 @@ def test_effective_horizon_default_is_one_cycle():
 
 def test_eviction_age_modes():
     cfg = SimConfig(params=SchemeParams(3, 5), t_share=5.0)
-    # auto: share expiry (one full cycle) plus one slot of slack
+    # auto: one full cycle plus one slot of slack
     assert cfg.eviction_age() == 30.0
     assert SimConfig(params=SchemeParams(3, 5), eviction="off").eviction_age() is None
     assert SimConfig(params=SchemeParams(3, 5), eviction=12.5).eviction_age() == 12.5
@@ -488,6 +488,15 @@ def test_load_config_errors(tmp_path, text, line):
     with pytest.raises(ParseError) as info:
         load_sim_configs(str(path))
     assert info.value.line == line
+
+
+def test_load_config_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes("# é\nscheme = 3:5\nnodes = ".encode() + b"\xff\n")
+    with pytest.raises(ParseError) as info:
+        load_sim_configs(str(path))
+    assert info.value.line == 3
+    assert str(info.value).endswith("not UTF-8 text")
 
 
 # One out-of-range value per config key. Every SimConfig field is a key of
