@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from collections.abc import Iterable
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from .beacon import DEFAULT_MFG_ID, DEFAULT_REF_RSSI, decode_frame, encode_frame
-from .errors import ParseError, ShardcastError, utf8_text
+from .errors import ParseError, ShardcastError, read_utf8
 from .exposure import (
     ExposureScheme,
     compute_scheme_exposure,
@@ -96,16 +97,13 @@ def _parse_share_line(text: str, lineno: int) -> tuple[int, bytes]:
     return share_id, body
 
 
+def _share_lines(lines: Iterable[str]) -> list[tuple[int, bytes]]:
+    return [_parse_share_line(text, lineno)
+            for lineno, raw in enumerate(lines, start=1) if (text := raw.strip())]
+
+
 def _read_share_lines(path: str | None) -> list[tuple[int, bytes]]:
-    # On stdin, a byte that is not UTF-8 fails its line's parse when the
-    # interpreter keeps it as a lone surrogate (a C locale or UTF-8 mode).
-    with nullcontext(sys.stdin) if path in (None, "-") else utf8_text(path) as fh:
-        shares = []
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if text:
-                shares.append(_parse_share_line(text, lineno))
-        return shares
+    return read_utf8(None if path == "-" else path, _share_lines)
 
 
 # -- subcommands ---------------------------------------------------------

@@ -1,6 +1,11 @@
 """Exception types raised across the package."""
 
-from contextlib import contextmanager
+import io
+import sys
+from collections.abc import Callable, Iterable, Iterator
+from typing import TextIO, TypeVar
+
+_T = TypeVar("_T")
 
 
 class ShardcastError(Exception):
@@ -47,22 +52,40 @@ class ParseError(ShardcastError):
         self.line = line
 
 
-@contextmanager
-def utf8_text(path: str):
-    """``path`` opened as UTF-8 text. A byte that is not UTF-8 fails the read;
-    only then is the file scanned again, for a ParseError at that byte's line."""
+def read_utf8(path: str | None, parse: Callable[[Iterable[str]], _T]) -> _T:
+    """``parse`` over the lines of ``path`` read as UTF-8 text, or of stdin
+    when ``path`` is None.
+
+    A byte that is not UTF-8 fails the read. Only then does ``parse`` run
+    again, over a read that keeps each bad byte as a lone surrogate and
+    raises ParseError at the first line holding one, before ``parse`` sees
+    that line. So an error ``parse`` finds on an earlier line wins.
+    """
+    if path is not None:
+        def text(errors: str) -> TextIO:
+            return open(path, encoding="utf-8", errors=errors)
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()  # stdin cannot be read twice; its bytes can
+
+        def text(errors: str) -> TextIO:
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+    else:  # a text stream with no bytes beneath it
+        return parse(sys.stdin)
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+        with text("strict") as fh:
+            return parse(fh)
     except UnicodeDecodeError:
-        # Lines numbered as the read numbers them; a bad byte is a lone surrogate.
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(lineno, "not UTF-8 text") from None
-        raise  # no bad byte now: the file changed since the read
+        with text("surrogateescape") as fh:
+            return parse(_utf8_lines(fh))
+
+
+def _utf8_lines(lines: Iterable[str]) -> Iterator[str]:
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(lineno, "not UTF-8 text") from None
+        yield line
 
 
 class EmptyFile(ShardcastError):

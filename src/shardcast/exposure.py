@@ -32,7 +32,7 @@ from itertools import chain, islice
 from operator import le, sub
 from typing import Iterable, TextIO
 
-from .errors import EmptyFile, InvalidConfig, InvalidScheme, ParseError, utf8_text
+from .errors import EmptyFile, InvalidConfig, InvalidScheme, ParseError, read_utf8
 
 
 @dataclass(frozen=True)
@@ -159,56 +159,62 @@ def read_sightings(path: str) -> SightingLog:
     Raises ParseError with the offending line number, or EmptyFile when
     no data rows are present.
     """
-    pairs: dict[tuple[str, str], array] = {}
-    with utf8_text(path) as fh:
-        numbered = enumerate(fh, start=1)
-        for lineno, line in numbered:
-            if line.strip():
-                break
-        else:
-            raise EmptyFile(f"no sighting rows in {path}")
-        delimiter = "\t" if "\t" in line else ","
-        try:
-            int(line.split(delimiter)[0])
-        except ValueError:
-            pass  # header row
-        else:
-            numbered = chain([(lineno, line)], numbered)
-        # int() ignores surrounding whitespace as str.strip() does, so only
-        # the tokens are stripped; a blank line fails the first int() or
-        # has fewer than 4 columns, and is skipped there.
-        for lineno, line in numbered:
-            fields = line.split(delimiter)
-            if len(fields) < 4:
-                if not line.strip():
-                    continue
-                raise ParseError(lineno, f"expected at least 4 columns, got {len(fields)}")
-            ts_text, device, scanner, rssi_text = fields[:4]
-            try:
-                ts = int(ts_text)
-            except ValueError:
-                if not line.strip():
-                    continue
-                raise ParseError(lineno, f"bad timestamp {ts_text.strip()!r}") from None
-            if ts < 0:
-                raise ParseError(lineno, f"negative timestamp {ts}")
-            if ts >= TIMESTAMP_LIMIT:
-                raise ParseError(lineno, f"timestamp {ts} out of range (must be below 2**63)")
-            try:
-                int(rssi_text)
-            except ValueError:
-                raise ParseError(lineno, f"bad rssi {rssi_text.strip()!r}") from None
-            device = device.strip()
-            scanner = scanner.strip()
-            if not device or not scanner:
-                raise ParseError(lineno, "empty device or scanner token")
-            stamps = pairs.get((device, scanner))
-            if stamps is None:
-                stamps = pairs[sys.intern(device), sys.intern(scanner)] = array("q")
-            stamps.append(ts)
+    pairs = read_utf8(path, _sighting_pairs)
     if not pairs:
         raise EmptyFile(f"no sighting rows in {path}")
     return _sorted_log(pairs)
+
+
+def _sighting_pairs(lines: Iterable[str]) -> dict[tuple[str, str], array]:
+    """Each (device, scanner) pair's timestamps in line order; raises
+    ParseError at the first bad row."""
+    pairs: dict[tuple[str, str], array] = {}
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
+        if line.strip():
+            break
+    else:
+        return pairs
+    delimiter = "\t" if "\t" in line else ","
+    try:
+        int(line.split(delimiter)[0])
+    except ValueError:
+        pass  # header row
+    else:
+        numbered = chain([(lineno, line)], numbered)
+    # int() ignores surrounding whitespace as str.strip() does, so only
+    # the tokens are stripped; a blank line fails the first int() or
+    # has fewer than 4 columns, and is skipped there.
+    for lineno, line in numbered:
+        fields = line.split(delimiter)
+        if len(fields) < 4:
+            if not line.strip():
+                continue
+            raise ParseError(lineno, f"expected at least 4 columns, got {len(fields)}")
+        ts_text, device, scanner, rssi_text = fields[:4]
+        try:
+            ts = int(ts_text)
+        except ValueError:
+            if not line.strip():
+                continue
+            raise ParseError(lineno, f"bad timestamp {ts_text.strip()!r}") from None
+        if ts < 0:
+            raise ParseError(lineno, f"negative timestamp {ts}")
+        if ts >= TIMESTAMP_LIMIT:
+            raise ParseError(lineno, f"timestamp {ts} out of range (must be below 2**63)")
+        try:
+            int(rssi_text)
+        except ValueError:
+            raise ParseError(lineno, f"bad rssi {rssi_text.strip()!r}") from None
+        device = device.strip()
+        scanner = scanner.strip()
+        if not device or not scanner:
+            raise ParseError(lineno, "empty device or scanner token")
+        stamps = pairs.get((device, scanner))
+        if stamps is None:
+            stamps = pairs[sys.intern(device), sys.intern(scanner)] = array("q")
+        stamps.append(ts)
+    return pairs
 
 
 # -- encounters ----------------------------------------------------------

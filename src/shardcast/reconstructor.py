@@ -5,8 +5,9 @@ candidate set by drawing random pool entries (skipping any whose
 x-coordinate or body the candidate already holds), and whenever the
 candidate reaches k members it attempts a recovery. A recovered value
 whose embedded checksum verifies is a real identifier: its shares are
-consumed and the run stops. A failed checksum discards the candidate and
-the search continues, bounded by a per-run attempt budget.
+consumed and the run stops. A failed checksum, or a dead end (a candidate
+that no pool entry can extend), discards the candidate and the search
+continues; both count against a per-run attempt budget.
 
 An attempt tests the checksum without interpolating. The value at x=0
 is the XOR of the weighted bodies u_i = w_i*b_i (w_i the Lagrange
@@ -178,7 +179,6 @@ class Reconstructor:
         self._shares: list[Share] = []  # entry.share for each pool entry, same order
         self._oldest = math.inf  # smallest received_at in the pool
         self._seen: set[tuple[str, int, bytes]] = set()
-        self._id_counts: dict[int, int] = {}
         self.recovered: list[RecoveredIdentity] = []
         self.total_tries = 0
         self.total_draws = 0  # pool indices drawn by the search
@@ -187,13 +187,10 @@ class Reconstructor:
     # -- pool bookkeeping ------------------------------------------------
 
     def _pool_add(self, entry: ReceivedShare) -> None:
-        share = entry.share
         self._pool.append(entry)
-        self._shares.append(share)
+        self._shares.append(entry.share)
         if entry.received_at < self._oldest:
             self._oldest = entry.received_at
-        sid = share.share_id
-        self._id_counts[sid] = self._id_counts.get(sid, 0) + 1
 
     def _pool_remove(self, gone: set[int]) -> None:
         """Drop pool entries by identity (set of id() values)."""
@@ -201,14 +198,7 @@ class Reconstructor:
         kept_shares = []
         oldest = math.inf
         for entry, share in zip(self._pool, self._shares):
-            if id(entry) in gone:
-                sid = share.share_id
-                left = self._id_counts[sid] - 1
-                if left:
-                    self._id_counts[sid] = left
-                else:
-                    del self._id_counts[sid]
-            else:
+            if id(entry) not in gone:
                 kept.append(entry)
                 kept_shares.append(share)
                 if entry.received_at < oldest:
@@ -277,9 +267,12 @@ class Reconstructor:
         """One reconstruction run: search until a recovery, a dead pool, or
         the attempt budget; at most one identifier comes out.
 
-        An unbudgeted run always returns: once its failed tries reach the
-        number of k-subsets of the pool, it checks every compatible subset
-        once, without drawing, and stops when none verifies.
+        A failure is a try that does not verify or a dead end: a candidate
+        that a scan of the pool confirms no entry can extend. Every failure
+        counts against the attempt budget and starts a fresh candidate. An
+        unbudgeted run always returns: once its failures reach the number of
+        k-subsets of the pool, it checks every compatible subset once,
+        without drawing, and stops when none verifies.
         """
         if budget is None:
             budget = self.max_tries
@@ -288,8 +281,9 @@ class Reconstructor:
         k = self.params.k
         pool = self._pool
         size = len(pool)
+        shares = self._shares
         # The pool only changes on a hit, which ends the run.
-        if size < k or len(self._id_counts) < k:
+        if size < k or len({share.share_id for share in shares}) < k:
             return None
         exhaust_at = math.comb(size, k) if budget is None else -1
         reject_limit = 4 * size + 16
@@ -298,7 +292,6 @@ class Reconstructor:
         # is the same; a test pins it against randrange.
         getrandbits = self._rng.getrandbits
         bits = size.bit_length()
-        shares = self._shares
         group_by_mac = self.group_by_mac
         target = _syndrome_target(k)
         memo: dict[tuple[int, bytes], int] = {}  # see _candidate_value
@@ -309,7 +302,7 @@ class Reconstructor:
         tries = 0
         draws = 0
         rejects = 0
-        dead_ends = 0
+        failures = 0
         hit = None
         while True:
             if filled == k:
@@ -318,34 +311,24 @@ class Reconstructor:
                 if value is not None and identifier_verify(value):
                     hit = self._consume(value, now, tries, tuple(cand))
                     break
-                if tries == budget:
-                    break
-                if tries == exhaust_at and not self._pool_can_recover(memo):
-                    break
-                cand = []
-                cand_bodies = {}
-                filled = 0
-                continue
-            index = getrandbits(bits)
-            while index >= size:
+            else:
                 index = getrandbits(bits)
-            draws += 1
-            share = shares[index]
-            sid = share.share_id
-            body = share.body
-            if not (sid in cand_bodies or body in cand_bodies.values() or (
-                    group_by_mac and filled and pool[index].mac_token != cand[0].mac_token)):
-                # Note: dead_ends stays; a fresh candidate always accepts
-                # its first draw, so resetting here would disable the
-                # two-dead-ends exit and an unbudgeted run could spin
-                # forever on an unsatisfiable pool.
-                cand.append(pool[index])
-                cand_bodies[sid] = body
-                filled += 1
-                rejects = 0
-                continue
-            rejects += 1
-            if rejects > reject_limit:
+                while index >= size:
+                    index = getrandbits(bits)
+                draws += 1
+                share = shares[index]
+                sid = share.share_id
+                body = share.body
+                if not (sid in cand_bodies or body in cand_bodies.values() or (
+                        group_by_mac and filled and pool[index].mac_token != cand[0].mac_token)):
+                    cand.append(pool[index])
+                    cand_bodies[sid] = body
+                    filled += 1
+                    rejects = 0
+                    continue
+                rejects += 1
+                if rejects <= reject_limit:
+                    continue
                 # Strong evidence the candidate cannot grow; confirm by scan.
                 rejects = 0
                 mac = cand[0].mac_token
@@ -353,12 +336,15 @@ class Reconstructor:
                        and entry.share.body not in cand_bodies.values()
                        and not (group_by_mac and entry.mac_token != mac) for entry in pool):
                     continue
-                cand = []
-                cand_bodies = {}
-                filled = 0
-                dead_ends += 1
-                if dead_ends >= 2:
-                    break
+            # A failed try or a dead end.
+            failures += 1
+            if failures == budget:
+                break
+            if failures == exhaust_at and not self._pool_can_recover(memo):
+                break
+            cand = []
+            cand_bodies = {}
+            filled = 0
         self.total_tries += tries
         self.total_draws += draws
         return hit

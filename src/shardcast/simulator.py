@@ -22,7 +22,7 @@ from itertools import repeat
 from typing import Iterable, TextIO
 
 from .broadcaster import BeaconRun, BroadcastConfig, Broadcaster, TICK_S, to_ticks
-from .errors import EmptyConfigList, InvalidConfig, InvalidParams, ParseError, utf8_text
+from .errors import EmptyConfigList, InvalidConfig, InvalidParams, ParseError, read_utf8
 from .identity import identifier_new
 from .reconstructor import (
     ReceivedShare,
@@ -156,7 +156,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     # runs_before call gives one run per slot. One event per beacon; a
     # beacon's run carries its share.
     identifiers: list[bytes] = []
-    events: list[tuple[int, int, BeaconRun]] = []  # (tick, device, run)
+    events: list[tuple[int, int, BeaconRun | None]] = []  # (tick, device, run)
     origin: dict[tuple[str, int, bytes], tuple[int, int]] = {}
     slot_instances = 0
     adv_ticks = to_ticks(config.adv_interval)
@@ -172,9 +172,16 @@ def run_simulation(config: SimConfig) -> SimResult:
             origin.setdefault((run.mac_token, share.share_id, share.body), (dev, run.generation))
             events.extend(zip(range(run.first_tick, run.end_tick, adv_ticks),
                               repeat(dev), repeat(run)))
+    emitted = len(events)
+    arrival = config.recon_mode == "arrival"
+    if not arrival:
+        # One (tick, -1, None) event per cycle boundary and one at the
+        # horizon: a sweep sorts before the receptions of its own tick.
+        cycle_ticks, horizon_ticks = to_ticks(n * config.t_share), to_ticks(horizon)
+        events.extend((tick, -1, None) for tick in range(cycle_ticks, horizon_ticks, cycle_ticks))
+        events.append((horizon_ticks, -1, None))
     events.sort()  # (tick, device) is unique, so runs are never compared
 
-    arrival = config.recon_mode == "arrival"
     budget = config.max_tries
     if budget is None and arrival:
         budget = default_max_tries(config.params, m)
@@ -225,22 +232,6 @@ def run_simulation(config: SimConfig) -> SimResult:
                 break
             note_recovery(scanner, hit)
 
-    # Cycle boundaries not yet swept, latest first; none in arrival mode.
-    cycle_ticks = to_ticks(n * config.t_share)
-    horizon_ticks = to_ticks(horizon)
-    pending = [] if arrival else sorted(
-        set(range(cycle_ticks, horizon_ticks + 1, cycle_ticks)) | {horizon_ticks}, reverse=True
-    )
-
-    def sweep_cycles(until_tick: int) -> int:
-        """Sweep every boundary up to ``until_tick``; returns the next one,
-        or a tick after every event."""
-        while pending and pending[-1] <= until_tick:
-            at = pending.pop() * TICK_S
-            for s in range(config.scanners):
-                sweep_cycle(s, at)
-        return pending[-1] if pending else horizon_ticks + 1
-
     # A reception of the run a scanner last admitted from a device, while
     # that admission is not stale, is a repeat: the pool holds its share, or
     # held it until a recovery consumed it. It skips the reconstructor, and
@@ -254,12 +245,13 @@ def run_simulation(config: SimConfig) -> SimResult:
         (s, scanner_phases[s], recons[s], [None] * m, [0.0] * m) for s in range(config.scanners)
     ]
     draw = rng.random
-    next_cycle = 0  # the first event looks up the first boundary
     for tick, dev, run in events:
-        if tick >= next_cycle:
-            next_cycle = sweep_cycles(tick)
         # No propagation delay: a reception's time is the emission tick.
         now = tick * TICK_S
+        if run is None:
+            for s in range(config.scanners):
+                sweep_cycle(s, now)
+            continue
         cutoff = -math.inf if age is None else now - age  # as evict_stale(now) has it
         entry = None  # one immutable entry per admitted emission, shared by its scanners
         for s, phase, recon, held, held_at in scanners:
@@ -286,7 +278,6 @@ def run_simulation(config: SimConfig) -> SimResult:
                     note_recovery(s, hit)
     for s in range(config.scanners):
         recons[s].evict_stale(heard_at[s])
-    sweep_cycles(horizon_ticks)
 
     total_tries = sum(r.total_tries for r in recons)
     recoveries = sum(len(r.recovered) for r in recons)
@@ -304,7 +295,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         p50_latency_s=statistics.median(latencies) if latencies else math.nan,
         undetected=m - len(resolved_devices),
         spurious=spurious,
-        emitted=len(events),
+        emitted=emitted,
         received=received,
         slot_instances=slot_instances,
         slots_received=[len(s) for s in slots_hit],
@@ -406,6 +397,20 @@ def _parse_schemes(text: str, line: int) -> list[tuple[int, int]]:
     return out
 
 
+def _config_settings(lines: Iterable[str]) -> dict[str, tuple[str, int]]:
+    """Each key's last value, and the line that set it."""
+    raw = {}
+    for lineno, text in enumerate(lines, start=1):
+        text = text.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ParseError(lineno, f"expected key=value, got {text!r}")
+        key, value = text.split("=", 1)
+        raw[key.strip().lower()] = (value.strip(), lineno)
+    return raw
+
+
 def load_sim_configs(path: str) -> list[SimConfig]:
     """Parse a key=value config file into one config per scheme/nodes pair.
 
@@ -414,16 +419,7 @@ def load_sim_configs(path: str) -> list[SimConfig]:
     of the same name. A key the file leaves out takes SimConfig's default,
     and a value SimConfig rejects raises ParseError at the line that set it.
     """
-    raw: dict[str, tuple[str, int]] = {}
-    with utf8_text(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
-            text = text.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ParseError(lineno, f"expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            raw[key.strip().lower()] = (value.strip(), lineno)
+    raw = read_utf8(path, _config_settings)
 
     def take(key: str):
         return raw.pop(key, (None, 0))

@@ -330,14 +330,16 @@ def test_input_that_is_not_utf8_names_the_line(tmp_path, capsys, argv, text):
 
 
 def test_recover_names_the_line_on_stdin_that_is_not_utf8():
-    # In UTF-8 mode stdin keeps a byte that is not UTF-8 as a lone surrogate.
-    proc = subprocess.run([sys.executable, "-m", "shardcast", "recover"],
-                          env={**CHILD_ENV, "PYTHONUTF8": "1"}, capture_output=True,
-                          input=f"1:{SECRET}\n2:\xff{SECRET[2:]}\n".encode("latin-1"))
-    assert proc.returncode == 1
-    assert proc.stdout == b""
-    assert proc.stderr.decode().splitlines() == [
-        f"error: line 2: bad hex body '\\udcff{SECRET[2:]}'"]
+    # Shares on stdin are read as bytes, the way a file is read, whatever the
+    # interpreter's own decoding of stdin: UTF-8 mode keeps a bad byte as a
+    # lone surrogate, a strict decoder raises at it.
+    for mode in ({"PYTHONUTF8": "1"}, {"PYTHONIOENCODING": "utf-8:strict"}):
+        proc = subprocess.run([sys.executable, "-m", "shardcast", "recover"],
+                              env={**CHILD_ENV, **mode}, capture_output=True,
+                              input=f"1:{SECRET}\n2:\xff{SECRET[2:]}\n".encode("latin-1"))
+        assert proc.returncode == 1, mode
+        assert proc.stdout == b""
+        assert proc.stderr.decode().splitlines() == ["error: line 2: not UTF-8 text"], mode
 
 
 def test_config_rejects_scenario_flags(tmp_path, capsys):

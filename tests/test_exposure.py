@@ -138,6 +138,23 @@ def test_read_rejects_bytes_that_are_not_utf8(tmp_path, rows_before):
     assert str(info.value).endswith("not UTF-8 text")
 
 
+@pytest.mark.parametrize("rows_before", [0, 5000])  # inside and past the first read chunk
+def test_read_reports_the_first_bad_line(tmp_path, rows_before):
+    # A bad timestamp and a byte that is not UTF-8, in both orders: the
+    # earlier line's error is raised, though the read decodes both at once.
+    path = tmp_path / "bad.csv"
+    good = "".join(f"{ts},devA,scan1,-50\n" for ts in range(rows_before)).encode()
+    bad_ts, bad_byte = b"x7,dev,scan1,-50\n", b"9,dev\xff,scan1,-50\n"
+    for first, second, message in ((bad_ts, bad_byte, "bad timestamp 'x7'"),
+                                   (bad_byte, bad_ts, "not UTF-8 text")):
+        path.write_bytes(b"ts,dev,sc,rssi\n" + good + b"1,d,s,-1\n" + first + b"2,d,s,-1\n"
+                         + second)
+        with pytest.raises(ParseError) as info:
+            read_sightings(str(path))
+        assert info.value.line == rows_before + 3
+        assert str(info.value).endswith(message)
+
+
 def test_file_and_memory_logs_agree(tmp_path):
     scheme = ExposureScheme(3, 5, 2)
     for seed in range(5):

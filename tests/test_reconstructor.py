@@ -32,6 +32,8 @@ from shardcast.reconstructor import (
 from shardcast.rng import RandomSource
 from shardcast.shamir import SchemeParams, split
 
+from oracles import crc32_ref, gf_lagrange_ref
+
 
 @pytest.fixture(autouse=True)
 def hang_guard():
@@ -335,6 +337,80 @@ def test_incompatible_pool_does_not_loop_forever():
     assert recon.total_tries == 0
 
 
+def oracle_pools(count):
+    """(params, pool) pairs: k from 2 to 4, n up to 5, one to three addresses
+    each heard in part, and in about a fifth of them one body re-sent under
+    another id."""
+    rng = random.Random(67)
+    for i in range(count):
+        k = rng.randint(2, 4)
+        params = SchemeParams(k, rng.randint(k, 5))
+        source = RandomSource(i)
+        pool = []
+        for mac in ("aa", "bb", "cc")[:rng.randint(1, 3)]:
+            _, entries = device_shares(source, params, mac)
+            pool += rng.sample(entries, rng.randint(1, params.n))
+        if rng.random() < 0.2:
+            twin = rng.choice(pool)
+            others = [sid for sid in range(1, params.n + 1) if sid != twin.share.share_id]
+            mac = rng.choice(pool).mac_token
+            pool.append(ReceivedShare(Share(rng.choice(others), twin.share.body), mac, 0.0))
+        rng.shuffle(pool)
+        yield params, pool
+
+
+def pool_verifies(params, pool, group_by_mac, values):
+    """Brute force: some k-subset of distinct ids and distinct bodies, of one
+    address when grouped, interpolates to a value whose checksum verifies.
+    ``values`` memoises interpolations by point set."""
+    for group in itertools.combinations(pool, params.k):
+        points = sorted((entry.share.share_id, entry.share.body) for entry in group)
+        if len({x for x, _ in points}) < params.k or len({b for _, b in points}) < params.k:
+            continue
+        if group_by_mac and len({entry.mac_token for entry in group}) > 1:
+            continue
+        key = tuple(points)
+        if key not in values:
+            value = gf_lagrange_ref(points)
+            values[key] = crc32_ref(value[:12]) == int.from_bytes(value[12:], "big")
+        if values[key]:
+            return True
+    return False
+
+
+def test_unbudgeted_run_recovers_exactly_when_some_subset_verifies():
+    # The search's stop rule against brute force: a run without a budget
+    # returns a hit exactly when some compatible k-subset of the pool verifies.
+    outcomes = {(group_by_mac, hit): 0 for group_by_mac in (False, True) for hit in (False, True)}
+    for i, (params, pool) in enumerate(oracle_pools(400)):
+        values = {}
+        for group_by_mac in (False, True):
+            recon = Reconstructor(params, RandomSource(i), group_by_mac=group_by_mac)
+            for entry in pool:
+                assert recon.add_share(entry)
+            hit = recon.run(0.0)
+            expected = pool_verifies(params, pool, group_by_mac, values)
+            assert (hit is not None) == expected, (i, group_by_mac, recon.total_tries)
+            if hit is not None:
+                assert pool_verifies(params, hit.sources, group_by_mac, values)
+            outcomes[group_by_mac, expected] += 1
+    assert min(outcomes.values()) > 40, outcomes
+
+
+def test_dead_ends_count_against_the_budget():
+    # Two ids with one body: every candidate is a dead end, and the run stops
+    # after `budget` of them without a try. A dead end costs one accepted
+    # draw and 4 * size + 17 rejected ones.
+    body = identifier_new(RandomSource(68))
+    for budget in (1, 2, 3, 5):
+        recon = Reconstructor(SchemeParams(2, 3), RandomSource(budget))
+        for sid in (1, 2):
+            recon.add_share(ReceivedShare(Share(sid, body), "t", 0.0))
+        assert recon.run(0.0, budget) is None
+        assert recon.total_tries == 0
+        assert recon.total_draws == budget * (1 + 4 * 2 + 17)
+
+
 UNSATISFIABLE_POOL = textwrap.dedent("""
     from shardcast.identity import Share, identifier_new
     from shardcast.reconstructor import ReceivedShare, Reconstructor
@@ -357,7 +433,8 @@ UNSATISFIABLE_POOL = textwrap.dedent("""
     # Device a's third share completes it.
     assert recon.on_share_received(ReceivedShare(a[2], "a", 1.0)) == [id_a]
     # Two ids with one body: no candidate may hold both, so the run makes no
-    # try and stops after two dead ends.
+    # try. Its first dead end is its C(2, 2)-th failure, and the exhaustive
+    # check finds no pair with two bodies.
     twin = Reconstructor(SchemeParams(2, 3), RandomSource(3))
     for sid in (1, 2):
         twin.add_share(ReceivedShare(Share(sid, a[0].body), "t", 0.0))
@@ -506,8 +583,8 @@ def test_total_draws_counts_index_draws(group_by_mac):
     assert recon._rng.getrandbits(64) == reference.getrandbits(64)
 
 
-def _search_digest(check_state) -> str:
-    """Hash of every search outcome over a grid of pools, budgets and modes.
+def _search_digest(check_state, group_by_mac) -> str:
+    """Hash of every search outcome over a grid of pools and budgets.
 
     Each scenario hears three devices twice over, with evictions between
     runs; device ``aa`` is heard in full when ``complete``, every other
@@ -517,8 +594,7 @@ def _search_digest(check_state) -> str:
     digest = hashlib.sha256()
     for k, n in ((2, 3), (3, 5), (4, 6), (6, 7)):
         params = SchemeParams(k, n)
-        for complete, budget, group_by_mac in itertools.product(
-                (False, True), (None, 1, 7, 130), (False, True)):
+        for complete, budget in itertools.product((False, True), (None, 1, 7, 130)):
             label = f"{k} {n} {complete} {budget} {group_by_mac}"
             rng = RandomSource(k * 100 + n)
             heard = []
@@ -550,16 +626,22 @@ def _search_digest(check_state) -> str:
     return digest.hexdigest()
 
 
-# Recorded while the search could still carry a candidate from one run into
-# the next, before the candidate became local to Reconstructor.run.
-SEARCH_DIGEST = "876024ed69e3af23cd95da3e4a17c9fe09172fe6e0386155c9988a06eb979c17"
+# One digest per group_by_mac. The ungrouped one was recorded while the
+# search could still carry a candidate from one run into the next, before the
+# candidate became local to Reconstructor.run; the grouped one when a dead
+# end became a failed attempt.
+SEARCH_DIGESTS = {
+    False: "740fc9f713bdad501447ce9b5bfff61e2b484bfc5ffd91aa7a8e4086549529a4",
+    True: "0fa0ab35133f4fcf0e72a3a20cad5e0fa02aa136f25597d01197d1dcd43ca137",
+}
 
 
 def test_search_outcomes_are_pinned():
     def check_state(recon):
         assert recon._shares == [entry.share for entry in recon._pool]
 
-    assert _search_digest(check_state) == SEARCH_DIGEST
+    got = {grouped: _search_digest(check_state, grouped) for grouped in (False, True)}
+    assert got == SEARCH_DIGESTS
 
 
 def syndrome_candidates(k, rng):

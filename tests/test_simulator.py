@@ -164,17 +164,25 @@ def test_determinism():
 
 # At 0.1 s advertising every share is heard several times per slot, so these
 # runs take the duplicate-reception path; at (2, 3) with 1 s slots a 0.5 s
-# eviction drops a share mid-slot and its next beacon re-admits it. The
-# digests were recorded before duplicate receptions were made O(1).
+# eviction drops a share mid-slot and its next beacon re-admits it. One
+# digest per group_by_mac: the ungrouped ones were recorded before duplicate
+# receptions were made O(1), the grouped ones when a dead end of the search
+# became a failed attempt.
 DUPLICATE_PATH_DIGESTS = {
-    (2, 3, 1.0, 15.0): "c472aff4260f24a469c9e16aa58df8b7d84744c6b727c20803ce21e79155c0ca",
-    (3, 5, 0.2, 10.0): "3594186e5c61ad4dd733beff9d47adc7ee0f7eb4ad2936801406359990f49629",
+    (2, 3, 1.0, 15.0): {
+        False: "d6ae39e4c66c2babe1fae9623d66ab844d424b0e8060cf049437626b79d97d02",
+        True: "d3b1b8d43de9987cd05772ddd2988c2fefc1464352b5ca3f78482096a09b3636",
+    },
+    (3, 5, 0.2, 10.0): {
+        False: "d9c2a55b2c218140f1b58bfc976d54206957b8170b909acde6c43d1f5438c5dd",
+        True: "f5627d466c1e5fc4e2129d1aa516143d43a3b05656aa6bc470385cc3a1654e03",
+    },
 }
 
 
 @pytest.mark.parametrize("k, n, t_share, horizon", list(DUPLICATE_PATH_DIGESTS))
 def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
-    digest = hashlib.sha256()
+    digests = {grouped: hashlib.sha256() for grouped in (False, True)}
     duplicates = 0
     for recon_mode, loss, eviction, scan, grouped in itertools.product(
         ("cycle", "arrival"), (0.0, 0.4), ("auto", "off", 0.5),
@@ -187,10 +195,12 @@ def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
         ))
         assert result.spurious == 0
         duplicates += sum(result.received) - sum(result.slots_received)
-        digest.update(repr((result.recoveries, result.total_tries, result.latencies,
-                            result.received, result.slots_received, result.reports)).encode())
+        digests[grouped].update(repr((result.recoveries, result.total_tries, result.latencies,
+                                      result.received, result.slots_received,
+                                      result.reports)).encode())
     assert duplicates > 0
-    assert digest.hexdigest() == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
+    got = {grouped: digest.hexdigest() for grouped, digest in digests.items()}
+    assert got == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
 
 
 # sha256 over every SimResult field but config, for 120 runs of 3 devices and
@@ -198,13 +208,18 @@ def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
 # no eviction, or evictions after a whole cycle and a slot (auto), within a
 # slot (0.25 s, so a share is re-admitted mid-slot) or before the next beacon
 # (0 and 0.05 s); and scan windows that hear some devices' beacons only
-# every other time (custom:0.05:0.2). Recorded before the simulator handled
-# slot runs instead of single beacons.
-SIMULATOR_DIFFERENTIAL_DIGEST = "1b65a51ea515f4544b07278611e6cc1b5e2c84d86f9db343643c45b2075eedb7"
+# every other time (custom:0.05:0.2). One digest per group_by_mac: the
+# ungrouped one was recorded before the simulator handled slot runs instead
+# of single beacons, the grouped one when a dead end of the search became a
+# failed attempt.
+SIMULATOR_DIFFERENTIAL_DIGESTS = {
+    False: "9f789a927ea9d6c132a4fc038c147e66264eba100f256ef17fc401119b4adeae",
+    True: "4db8c41ce7ed13ed0281fb8f3ca9f2abcb660749dc3e39ea4957a7d9b8f5dd82",
+}
 
 
 def test_simulator_outputs_are_pinned():
-    digest = hashlib.sha256()
+    digests = {grouped: hashlib.sha256() for grouped in (False, True)}
     repeats = 0
     for recon_mode, loss, eviction, scan, grouped in itertools.product(
         ("cycle", "arrival"), (0.0, 0.3), ("auto", "off", 0, 0.05, 0.25),
@@ -219,9 +234,10 @@ def test_simulator_outputs_are_pinned():
         fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
         del fields["config"]
         fields["resolved_devices"] = sorted(fields["resolved_devices"])
-        digest.update(repr(sorted(fields.items())).encode())
+        digests[grouped].update(repr(sorted(fields.items())).encode())
     assert repeats > 0
-    assert digest.hexdigest() == SIMULATOR_DIFFERENTIAL_DIGEST
+    got = {grouped: digest.hexdigest() for grouped, digest in digests.items()}
+    assert got == SIMULATOR_DIFFERENTIAL_DIGESTS
 
 
 def test_field_run_with_a_checksum_false_accept_is_pinned():
@@ -497,6 +513,19 @@ def test_load_config_rejects_bytes_that_are_not_utf8(tmp_path):
         load_sim_configs(str(path))
     assert info.value.line == 3
     assert str(info.value).endswith("not UTF-8 text")
+
+
+def test_load_config_reports_the_first_bad_line(tmp_path):
+    # A line without '=' and a byte that is not UTF-8, in both orders: the
+    # earlier line's error is raised, though the read decodes both at once.
+    path = tmp_path / "bad.cfg"
+    for first, second, message in ((b"nodes 2\n", b"seed = 1\xff\n", "expected key=value"),
+                                   (b"seed = 1\xff\n", b"nodes 2\n", "not UTF-8 text")):
+        path.write_bytes(b"scheme = 3:5\n" + first + b"# note\n" + second)
+        with pytest.raises(ParseError) as info:
+            load_sim_configs(str(path))
+        assert info.value.line == 2
+        assert message in str(info.value)
 
 
 # One out-of-range value per config key. Every SimConfig field is a key of
