@@ -155,7 +155,13 @@ def default_max_tries(params: SchemeParams, m: int) -> int:
 
 
 class Reconstructor:
-    """Reconstruction state for one scanner."""
+    """Reconstruction state for one scanner.
+
+    It keeps the pool (one list of ReceivedShare entries, in admission
+    order), the seen-set of dedup keys, the pool's oldest reception time and
+    counters. A hit is returned by `run` and not kept; `identifiers_recovered`
+    counts the hits.
+    """
 
     def __init__(
         self,
@@ -176,36 +182,14 @@ class Reconstructor:
         self.max_share_age = max_share_age
         self._rng = rng
         self._pool: list[ReceivedShare] = []
-        self._shares: list[Share] = []  # entry.share for each pool entry, same order
         self._oldest = math.inf  # smallest received_at in the pool
         self._seen: set[tuple[str, int, bytes]] = set()
-        self.recovered: list[RecoveredIdentity] = []
+        self.identifiers_recovered = 0
         self.total_tries = 0
         self.total_draws = 0  # pool indices drawn by the search
         self.shares_consumed = 0
 
     # -- pool bookkeeping ------------------------------------------------
-
-    def _pool_add(self, entry: ReceivedShare) -> None:
-        self._pool.append(entry)
-        self._shares.append(entry.share)
-        if entry.received_at < self._oldest:
-            self._oldest = entry.received_at
-
-    def _pool_remove(self, gone: set[int]) -> None:
-        """Drop pool entries by identity (set of id() values)."""
-        kept = []
-        kept_shares = []
-        oldest = math.inf
-        for entry, share in zip(self._pool, self._shares):
-            if id(entry) not in gone:
-                kept.append(entry)
-                kept_shares.append(share)
-                if entry.received_at < oldest:
-                    oldest = entry.received_at
-        self._pool = kept
-        self._shares = kept_shares
-        self._oldest = oldest
 
     def evict_stale(self, now: float) -> int:
         """Drop pool shares older than max_share_age; returns the count."""
@@ -214,12 +198,19 @@ class Reconstructor:
         cutoff = now - self.max_share_age
         if self._oldest >= cutoff:  # nothing is stale
             return 0
-        gone = {id(entry) for entry in self._pool if entry.received_at < cutoff}
+        kept = []
+        oldest = math.inf
         for entry in self._pool:
-            if id(entry) in gone:
+            if entry.received_at < cutoff:
                 self._seen.discard(entry.key)
-        self._pool_remove(gone)
-        return len(gone)
+            else:
+                kept.append(entry)
+                if entry.received_at < oldest:
+                    oldest = entry.received_at
+        gone = len(self._pool) - len(kept)
+        self._pool = kept
+        self._oldest = oldest
+        return gone
 
     def add_share(self, entry: ReceivedShare) -> bool:
         """Admit one reception into the pool; False when it is a duplicate."""
@@ -229,7 +220,9 @@ class Reconstructor:
         if key in self._seen:
             return False
         self._seen.add(key)
-        self._pool_add(entry)
+        self._pool.append(entry)
+        if entry.received_at < self._oldest:
+            self._oldest = entry.received_at
         return True
 
     def pool_entries(self) -> tuple[ReceivedShare, ...]:
@@ -242,11 +235,12 @@ class Reconstructor:
                  sources: tuple[ReceivedShare, ...]) -> RecoveredIdentity:
         # Consumed shares stay in the seen-set: re-hearing them must not
         # re-open a finished recovery.
-        self._pool_remove({id(entry) for entry in sources})
+        gone = {id(entry) for entry in sources}
+        self._pool = [entry for entry in self._pool if id(entry) not in gone]
+        self._oldest = min((entry.received_at for entry in self._pool), default=math.inf)
         self.shares_consumed += len(sources)
-        hit = RecoveredIdentity(identifier, now, tries, sources)
-        self.recovered.append(hit)
-        return hit
+        self.identifiers_recovered += 1
+        return RecoveredIdentity(identifier, now, tries, sources)
 
     def _pool_can_recover(self, memo: dict[tuple[int, bytes], int]) -> bool:
         """True when some compatible k-subset of the pool verifies."""
@@ -265,7 +259,7 @@ class Reconstructor:
 
     def run(self, now: float, budget: int | None = None) -> RecoveredIdentity | None:
         """One reconstruction run: search until a recovery, a dead pool, or
-        the attempt budget; at most one identifier comes out.
+        the attempt budget; returns the hit, or None.
 
         A failure is a try that does not verify or a dead end: a candidate
         that a scan of the pool confirms no entry can extend. Every failure
@@ -281,9 +275,8 @@ class Reconstructor:
         k = self.params.k
         pool = self._pool
         size = len(pool)
-        shares = self._shares
         # The pool only changes on a hit, which ends the run.
-        if size < k or len({share.share_id for share in shares}) < k:
+        if size < k or len({entry[0].share_id for entry in pool}) < k:
             return None
         exhaust_at = math.comb(size, k) if budget is None else -1
         reject_limit = 4 * size + 16
@@ -316,12 +309,13 @@ class Reconstructor:
                 while index >= size:
                     index = getrandbits(bits)
                 draws += 1
-                share = shares[index]
+                entry = pool[index]
+                share = entry[0]  # entry.share, without the field descriptor's call
                 sid = share.share_id
                 body = share.body
                 if not (sid in cand_bodies or body in cand_bodies.values() or (
-                        group_by_mac and filled and pool[index].mac_token != cand[0].mac_token)):
-                    cand.append(pool[index])
+                        group_by_mac and filled and entry.mac_token != cand[0].mac_token)):
+                    cand.append(entry)
                     cand_bodies[sid] = body
                     filled += 1
                     rejects = 0
@@ -369,7 +363,7 @@ class Reconstructor:
 
     def report(self) -> ReconstructionReport:
         return ReconstructionReport(
-            identifiers_recovered=len(self.recovered),
+            identifiers_recovered=self.identifiers_recovered,
             total_tries=self.total_tries,
             shares_consumed=self.shares_consumed,
             shares_remaining=len(self._pool),

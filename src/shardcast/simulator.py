@@ -205,8 +205,10 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     def note_recovery(scanner: int, hit) -> None:
         nonlocal spurious
-        sources = {origin.get(entry.key) for entry in hit.sources}
-        if len(sources) != 1 or None in sources:
+        # Every pool entry was admitted from a run in origin: a missing key
+        # is a fault of the simulator, not a spurious recovery.
+        sources = {origin[entry.key] for entry in hit.sources}
+        if len(sources) != 1:
             spurious += 1
             return
         ((dev, _gen),) = sources
@@ -280,10 +282,9 @@ def run_simulation(config: SimConfig) -> SimResult:
         recons[s].evict_stale(heard_at[s])
 
     total_tries = sum(r.total_tries for r in recons)
-    recoveries = sum(len(r.recovered) for r in recons)
-    latencies = sorted(
-        resolved[key] - first_audible[key] for key in resolved if key in first_audible
-    )
+    recoveries = sum(r.identifiers_recovered for r in recons)
+    # A resolved (scanner, device) pair admitted that device's shares first.
+    latencies = sorted(resolved[key] - first_audible[key] for key in resolved)
     resolved_devices = {dev for (_s, dev) in resolved}
     return SimResult(
         config=config,
@@ -365,9 +366,24 @@ def write_results(rows: Iterable[SweepRow], out: TextIO) -> None:
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-# Text converter for each scalar key; a key sets the SimConfig field of the
-# same name, and SimConfig checks the value.
+
+def _parse_schemes(text: str) -> list[tuple[int, int]]:
+    out = []
+    for item in text.split(","):
+        k_text, n_text = item.split(":")  # ValueError unless exactly one ':'
+        out.append((int(k_text), int(n_text)))
+    return out
+
+
+# Text converter for each config key; a converter raises ValueError or
+# KeyError on text it cannot read. scheme (or k and n) sets params and nodes
+# sets m_devices; every other key sets the SimConfig field of the same name,
+# and SimConfig checks the value.
 _CONVERTERS = {
+    "scheme": _parse_schemes,
+    "k": int,
+    "n": int,
+    "nodes": lambda text: [int(x) for x in text.split(",")],
     "scanners": int,
     "t_share": float,
     "adv_interval": float,
@@ -383,23 +399,13 @@ _CONVERTERS = {
 }
 
 
-def _parse_schemes(text: str, line: int) -> list[tuple[int, int]]:
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if ":" not in item:
-            raise ParseError(line, f"scheme {item!r} is not k:n")
-        k_text, n_text = item.split(":", 1)
-        try:
-            out.append((int(k_text), int(n_text)))
-        except ValueError as exc:
-            raise ParseError(line, f"scheme {item!r} is not k:n") from exc
-    return out
+def _config_settings(lines: Iterable[str]) -> dict[str, tuple[object, int]]:
+    """Each key's last value, converted, and the line that set it.
 
-
-def _config_settings(lines: Iterable[str]) -> dict[str, tuple[str, int]]:
-    """Each key's last value, and the line that set it."""
-    raw = {}
+    Every line's key and value are checked as the line is read, so the
+    first bad line of the file is the one reported.
+    """
+    settings = {}
     for lineno, text in enumerate(lines, start=1):
         text = text.split("#", 1)[0].strip()
         if not text:
@@ -407,8 +413,16 @@ def _config_settings(lines: Iterable[str]) -> dict[str, tuple[str, int]]:
         if "=" not in text:
             raise ParseError(lineno, f"expected key=value, got {text!r}")
         key, value = text.split("=", 1)
-        raw[key.strip().lower()] = (value.strip(), lineno)
-    return raw
+        key = key.strip().lower()
+        value = value.strip()
+        convert = _CONVERTERS.get(key)
+        if convert is None:
+            raise ParseError(lineno, f"unknown config key {key!r}")
+        try:
+            settings[key] = (convert(value), lineno)
+        except (ValueError, KeyError) as exc:
+            raise ParseError(lineno, f"bad value for {key}: {value!r}") from exc
+    return settings
 
 
 def load_sim_configs(path: str) -> list[SimConfig]:
@@ -416,46 +430,31 @@ def load_sim_configs(path: str) -> list[SimConfig]:
 
     ``scheme`` (k:n, comma list allowed) and ``nodes`` (comma list allowed)
     expand as a grid in file order; every other key sets the SimConfig field
-    of the same name. A key the file leaves out takes SimConfig's default,
-    and a value SimConfig rejects raises ParseError at the line that set it.
+    of the same name. A key the file leaves out takes SimConfig's default.
+    An unknown key or a value that does not convert raises ParseError at its
+    line as the file is read; a value SimConfig rejects raises ParseError at
+    the line that set it.
     """
-    raw = read_utf8(path, _config_settings)
-
-    def take(key: str):
-        return raw.pop(key, (None, 0))
-
-    schemes_text, schemes_line = take("scheme")
-    k_text, k_line = take("k")
-    n_text, n_line = take("n")
-    if schemes_text is not None:
-        schemes = _parse_schemes(schemes_text, schemes_line)
-    elif k_text is not None and n_text is not None:
-        schemes_line = max(k_line, n_line)
-        try:
-            schemes = [(int(k_text), int(n_text))]
-        except ValueError as exc:
-            raise ParseError(schemes_line, "k and n must be integers") from exc
+    settings = read_utf8(path, _config_settings)
+    scheme = settings.pop("scheme", None)
+    k_setting, n_setting = settings.pop("k", None), settings.pop("n", None)
+    if scheme is not None:
+        schemes, params_line = scheme
+    elif k_setting is not None and n_setting is not None:
+        (k, k_line), (n, n_line) = k_setting, n_setting
+        schemes, params_line = [(k, n)], max(k_line, n_line)
     else:
         raise ParseError(1, "config needs either scheme=k:n or k= and n=")
-    lines = {"params": schemes_line}  # SimConfig field -> the line that set it
+    lines = {"params": params_line}  # SimConfig field -> the line that set it
 
     nodes: list[dict[str, int]] = [{}]
-    nodes_text, nodes_line = take("nodes")
-    if nodes_text is not None:
-        lines["m_devices"] = nodes_line
-        try:
-            nodes = [{"m_devices": int(x)} for x in nodes_text.split(",")]
-        except ValueError as exc:
-            raise ParseError(nodes_line, f"bad nodes list {nodes_text!r}") from exc
+    if "nodes" in settings:
+        counts, lines["m_devices"] = settings.pop("nodes")
+        nodes = [{"m_devices": count} for count in counts]
 
     values = {}
-    for key, (text, lineno) in raw.items():
-        if key not in _CONVERTERS:
-            raise ParseError(lineno, f"unknown config key {key!r}")
-        try:
-            values[key] = _CONVERTERS[key](text)
-        except (ValueError, KeyError) as exc:
-            raise ParseError(lineno, f"bad value for {key}: {text!r}") from exc
+    for key, (value, lineno) in settings.items():
+        values[key] = value
         lines[key] = lineno
 
     try:

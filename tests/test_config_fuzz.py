@@ -74,6 +74,42 @@ def mutated_configs(seed, count):
         yield "\n".join(out) + "\n"
 
 
+def read_pairs(text):
+    for item in text.split(","):
+        k_text, n_text = item.split(":")
+        int(k_text), int(n_text)
+
+
+# How each known key reads its text; a reader raises ValueError or KeyError.
+READERS = {
+    **dict.fromkeys(("k", "n", "scanners", "seed", "trials", "max_tries"), int),
+    **dict.fromkeys(("t_share", "adv_interval", "loss_rate", "horizon"), float),
+    **dict.fromkeys(("scan_mode", "recon_mode"), str),
+    "scheme": read_pairs,
+    "nodes": lambda text: [int(x) for x in text.split(",")],
+    "group_by_mac": lambda text: dict.fromkeys(("true", "1", "yes", "false", "0", "no"))[
+        text.lower()],
+    "eviction": lambda text: text in ("auto", "off") or float(text),
+}
+
+
+def fails_on_its_own(line):
+    """True for a config line that is an error whatever the other lines
+    hold: a setting without '=', an unknown key, or a value its key cannot
+    read. A value that reads but breaks a SimConfig rule is not one."""
+    setting = line.split("#", 1)[0].strip()
+    if not setting:
+        return False
+    key, eq, value = setting.partition("=")
+    if not eq:
+        return True
+    try:
+        READERS[key.strip().lower()](value.strip())
+    except (KeyError, ValueError):
+        return True
+    return False
+
+
 def random_scan_mode(rng):
     kind = rng.randrange(4)
     if kind == 0:  # custom:W:I, with numbers near every rule
@@ -119,10 +155,9 @@ def test_configs_that_are_not_utf8_fail_at_the_line(seed, tmp_path):
         path.write_bytes(b"\n".join(lines) + rng.choice((b"\n", b"")))
         with pytest.raises(ParseError) as info:
             load_sim_configs(str(path))
-        # The first bad line wins: an earlier setting without '=' is one.
-        first = next((i for i, line in enumerate(lines[:at])
-                      if (setting := line.decode().split("#", 1)[0].strip())
-                      and "=" not in setting), at)
+        # The first bad line wins: an earlier line that fails on its own is one.
+        first = next((i for i, line in enumerate(lines[:at]) if fails_on_its_own(line.decode())),
+                     at)
         assert info.value.line == first + 1, lines[first]
 
 

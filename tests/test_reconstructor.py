@@ -1,5 +1,6 @@
 """Scanner-side reconstruction search: recovery, consumption, budgets."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -150,6 +152,44 @@ def test_consumed_shares_never_reappear():
     assert recon.pool_size == 0
 
 
+def test_a_returned_hit_is_freed_once_the_caller_drops_it():
+    params = SchemeParams(3, 5)
+    rng = RandomSource(31)
+    recon = Reconstructor(params, RandomSource(32))
+    identifier, entries = device_shares(rng, params, "aa:aa:aa:aa:aa:aa")
+    for entry in entries[:3]:
+        recon.add_share(entry)
+    hit = recon.run(0.0)
+    assert hit.identifier == identifier
+    freed = weakref.ref(hit)
+    del hit
+    gc.collect()
+    assert freed() is None
+    assert recon.report().identifiers_recovered == 1
+
+
+def test_report_counts_the_hits_run_returns():
+    # A seeded stream of whole and partial generations from four addresses,
+    # with evictions and budgeted runs between receptions.
+    params = SchemeParams(3, 5)
+    rng = RandomSource(71)
+    recon = Reconstructor(params, RandomSource(72), max_tries=40, max_share_age=6.0)
+    hits = evicted = 0
+    now = 0.0
+    for d in range(40):
+        _, entries = device_shares(rng, params, f"{d % 4:02x}")
+        rng.shuffle(entries)
+        for entry in entries[:2 + rng.randrange(4)]:
+            now += 0.5
+            evicted += recon.evict_stale(now)
+            if recon.add_share(ReceivedShare(entry.share, entry.mac_token, now)):
+                hits += recon.run(now) is not None
+    report = recon.report()
+    assert hits > 10 and evicted > 10, (hits, evicted)
+    assert report.identifiers_recovered == recon.identifiers_recovered == hits
+    assert report.shares_consumed == params.k * hits
+
+
 def test_budget_limits_tries_per_run():
     # A two-device mixed pool with a tiny budget: the run stops without
     # recovery and the try counter respects the cap exactly.
@@ -164,7 +204,7 @@ def test_budget_limits_tries_per_run():
     hit = recon.run(0.0)
     assert recon.total_tries - before <= 1
     if hit is None:
-        assert len(recon.recovered) == 0
+        assert recon.identifiers_recovered == 0
     assert recon.run(0.0, budget=0) is None
     with pytest.raises(InvalidConfig):
         Reconstructor(params, RandomSource(99), max_tries=0)
@@ -579,7 +619,7 @@ def test_total_draws_counts_index_draws(group_by_mac):
         recon.run(0.0, budget)
         for _ in range(recon.total_draws - before):
             reference.randrange(size)
-    assert recon.total_draws > 0 and len(recon.recovered) == 2
+    assert recon.total_draws > 0 and recon.identifiers_recovered == 2
     assert recon._rng.getrandbits(64) == reference.getrandbits(64)
 
 
@@ -638,7 +678,8 @@ SEARCH_DIGESTS = {
 
 def test_search_outcomes_are_pinned():
     def check_state(recon):
-        assert recon._shares == [entry.share for entry in recon._pool]
+        assert recon._oldest == min((entry.received_at for entry in recon._pool),
+                                    default=math.inf)
 
     got = {grouped: _search_digest(check_state, grouped) for grouped in (False, True)}
     assert got == SEARCH_DIGESTS

@@ -471,6 +471,7 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("t_share = 1\n", 1),  # no scheme and no k/n
         ("scheme = 3:5\nnodes = 1,two\n", 2),
         ("scheme = 3:5\ngroup_by_mac = maybe\n", 2),
+        ("scheme = 3:5\nloss_rate = abc\nloss_rate = 0.1\n", 2),  # a later line does not mend it
         ("scheme = 3:5\njust words\n", 2),
         ("scheme = 3:5\neviction = soon\n", 2),
         ("scheme = 3:5\nrecon_mode = sometimes\n", 2),
@@ -516,11 +517,14 @@ def test_load_config_rejects_bytes_that_are_not_utf8(tmp_path):
 
 
 def test_load_config_reports_the_first_bad_line(tmp_path):
-    # A line without '=' and a byte that is not UTF-8, in both orders: the
-    # earlier line's error is raised, though the read decodes both at once.
+    # A line that fails on its own (no '=', an unknown key, a value that does
+    # not convert) and a byte that is not UTF-8: the earlier line's error is
+    # raised, though the read decodes both at once.
     path = tmp_path / "bad.cfg"
     for first, second, message in ((b"nodes 2\n", b"seed = 1\xff\n", "expected key=value"),
-                                   (b"seed = 1\xff\n", b"nodes 2\n", "not UTF-8 text")):
+                                   (b"seed = 1\xff\n", b"nodes 2\n", "not UTF-8 text"),
+                                   (b"widgets = 1\n", b"seed = 1\xff\n", "unknown config key"),
+                                   (b"seed = x\n", b"seed = 1\xff\n", "bad value for seed")):
         path.write_bytes(b"scheme = 3:5\n" + first + b"# note\n" + second)
         with pytest.raises(ParseError) as info:
             load_sim_configs(str(path))
