@@ -1,13 +1,12 @@
 """Scanner-side identifier reconstruction.
 
 Received shares accumulate in a working pool; a run repeatedly grows a
-candidate set by drawing random pool entries (skipping any whose
-x-coordinate or body the candidate already holds), and whenever the
-candidate reaches k members it attempts a recovery. A recovered value
-whose embedded checksum verifies is a real identifier: its shares are
-consumed and the run stops. A failed checksum, or a dead end (a candidate
-that no pool entry can extend), discards the candidate and the search
-continues; both count against a per-run attempt budget.
+candidate set by drawing random pool entries (skipping any whose share id
+the candidate already holds), and whenever the candidate reaches k members
+it attempts a recovery. A recovered value whose embedded checksum verifies
+is a real identifier: its shares are consumed and the run stops. A failed
+checksum discards the candidate and the search continues; each one counts
+against a per-run attempt budget.
 
 An attempt tests the checksum without interpolating. The value at x=0
 is the XOR of the weighted bodies u_i = w_i*b_i (w_i the Lagrange
@@ -154,6 +153,17 @@ def default_max_tries(params: SchemeParams, m: int) -> int:
     return 10 * math.ceil(expected_tries(params, m))
 
 
+def check_max_tries(max_tries: int | None) -> None:
+    """Raise InvalidConfig unless the budget is None or an int of at least 1.
+
+    A run stops when its tries equal the budget, so any other number would
+    never stop it.
+    """
+    if max_tries is not None and not (isinstance(max_tries, int) and max_tries >= 1):
+        raise InvalidConfig(f"max_tries {max_tries!r} must be an integer of at least 1",
+                            "max_tries")
+
+
 class Reconstructor:
     """Reconstruction state for one scanner.
 
@@ -167,18 +177,16 @@ class Reconstructor:
         self,
         params: SchemeParams,
         rng: RandomSource,
+        *,
         max_tries: int | None = None,
-        group_by_mac: bool = False,
         max_share_age: float | None = None,
     ):
-        if max_tries is not None and max_tries < 1:
-            raise InvalidConfig("max_tries must be at least 1", "max_tries")
+        check_max_tries(max_tries)
         if max_share_age is not None and not max_share_age >= 0:
             raise InvalidConfig(f"max_share_age {max_share_age} must be a non-negative time",
                                 "max_share_age")
         self.params = params
         self.max_tries = max_tries
-        self.group_by_mac = group_by_mac
         self.max_share_age = max_share_age
         self._rng = rng
         self._pool: list[ReceivedShare] = []
@@ -243,14 +251,12 @@ class Reconstructor:
         return RecoveredIdentity(identifier, now, tries, sources)
 
     def _pool_can_recover(self, memo: dict[tuple[int, bytes], int]) -> bool:
-        """True when some compatible k-subset of the pool verifies."""
+        """True when some k-subset of the pool with distinct ids verifies."""
         k = self.params.k
         target = _syndrome_target(k)
         for group in combinations(self._pool, k):
             bodies = {entry.share.share_id: entry.share.body for entry in group}
-            if len(bodies) < k or len(set(bodies.values())) < k:
-                continue
-            if self.group_by_mac and len({entry.mac_token for entry in group}) > 1:
+            if len(bodies) < k:
                 continue
             value = _candidate_value(bodies, memo, target)
             if value is not None and identifier_verify(value):
@@ -261,31 +267,33 @@ class Reconstructor:
         """One reconstruction run: search until a recovery, a dead pool, or
         the attempt budget; returns the hit, or None.
 
-        A failure is a try that does not verify or a dead end: a candidate
-        that a scan of the pool confirms no entry can extend. Every failure
-        counts against the attempt budget and starts a fresh candidate. An
-        unbudgeted run always returns: once its failures reach the number of
-        k-subsets of the pool, it checks every compatible subset once,
-        without drawing, and stops when none verifies.
+        A candidate is any k pool entries with distinct share ids, drawn in
+        random order. A try that does not verify counts against the attempt
+        budget and starts a fresh candidate. An unbudgeted run always
+        returns: once its tries reach the number of k-subsets of the pool,
+        it checks every subset with distinct ids once, without drawing, and
+        stops when none verifies.
         """
         if budget is None:
             budget = self.max_tries
-        elif budget < 1:
+        elif isinstance(budget, int) and budget < 1:
             return None
+        else:
+            check_max_tries(budget)
         k = self.params.k
         pool = self._pool
         size = len(pool)
-        # The pool only changes on a hit, which ends the run.
+        # The pool only changes on a hit, which ends the run. With k distinct
+        # ids in it, some entry extends every candidate of fewer than k
+        # members, so every candidate fills and a run cannot stall.
         if size < k or len({entry[0].share_id for entry in pool}) < k:
             return None
         exhaust_at = math.comb(size, k) if budget is None else -1
-        reject_limit = 4 * size + 16
         # Random.randrange(size) without its call layers: draw bit_length
         # bits and redraw while the value is out of range. The index stream
         # is the same; a test pins it against randrange.
         getrandbits = self._rng.getrandbits
         bits = size.bit_length()
-        group_by_mac = self.group_by_mac
         target = _syndrome_target(k)
         memo: dict[tuple[int, bytes], int] = {}  # see _candidate_value
         # The candidate: its entries, and their bodies by share id in draw order.
@@ -294,17 +302,9 @@ class Reconstructor:
         filled = 0
         tries = 0
         draws = 0
-        rejects = 0
-        failures = 0
         hit = None
         while True:
-            if filled == k:
-                tries += 1
-                value = _candidate_value(cand_bodies, memo, target)
-                if value is not None and identifier_verify(value):
-                    hit = self._consume(value, now, tries, tuple(cand))
-                    break
-            else:
+            if filled < k:
                 index = getrandbits(bits)
                 while index >= size:
                     index = getrandbits(bits)
@@ -312,29 +312,19 @@ class Reconstructor:
                 entry = pool[index]
                 share = entry[0]  # entry.share, without the field descriptor's call
                 sid = share.share_id
-                body = share.body
-                if not (sid in cand_bodies or body in cand_bodies.values() or (
-                        group_by_mac and filled and entry.mac_token != cand[0].mac_token)):
+                if sid not in cand_bodies:
                     cand.append(entry)
-                    cand_bodies[sid] = body
+                    cand_bodies[sid] = share.body
                     filled += 1
-                    rejects = 0
-                    continue
-                rejects += 1
-                if rejects <= reject_limit:
-                    continue
-                # Strong evidence the candidate cannot grow; confirm by scan.
-                rejects = 0
-                mac = cand[0].mac_token
-                if any(entry.share.share_id not in cand_bodies
-                       and entry.share.body not in cand_bodies.values()
-                       and not (group_by_mac and entry.mac_token != mac) for entry in pool):
-                    continue
-            # A failed try or a dead end.
-            failures += 1
-            if failures == budget:
+                continue
+            tries += 1
+            value = _candidate_value(cand_bodies, memo, target)
+            if value is not None and identifier_verify(value):
+                hit = self._consume(value, now, tries, tuple(cand))
                 break
-            if failures == exhaust_at and not self._pool_can_recover(memo):
+            if tries == budget:
+                break
+            if tries == exhaust_at and not self._pool_can_recover(memo):
                 break
             cand = []
             cand_bodies = {}

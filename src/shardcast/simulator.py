@@ -28,6 +28,7 @@ from .reconstructor import (
     ReceivedShare,
     ReconstructionReport,
     Reconstructor,
+    check_max_tries,
     default_max_tries,
 )
 from .rng import RandomSource
@@ -76,7 +77,6 @@ class SimConfig:
     trials: int = 1
     recon_mode: str = "cycle"  # or "arrival"
     max_tries: int | None = None
-    group_by_mac: bool = False
     eviction: str | float = "auto"  # "auto": one cycle + one slot; "off"; or seconds
 
     def __post_init__(self):
@@ -90,8 +90,7 @@ class SimConfig:
         scan_window_params(self.scan_mode)  # validates
         if self.horizon is not None and not 0 < self.horizon:
             raise InvalidConfig("horizon must be positive", "horizon")
-        if self.max_tries is not None and self.max_tries < 1:
-            raise InvalidConfig("max_tries must be at least 1", "max_tries")
+        check_max_tries(self.max_tries)
         if self.eviction not in ("auto", "off") and (
             isinstance(self.eviction, str) or not 0 <= self.eviction < math.inf
         ):
@@ -190,7 +189,6 @@ def run_simulation(config: SimConfig) -> SimResult:
             config.params,
             recon_rngs[s],
             max_tries=budget,
-            group_by_mac=config.group_by_mac,
             max_share_age=config.eviction_age(),
         )
         for s in range(config.scanners)
@@ -364,9 +362,6 @@ def write_results(rows: Iterable[SweepRow], out: TextIO) -> None:
 
 # -- config files --------------------------------------------------------
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _parse_schemes(text: str) -> list[tuple[int, int]]:
     out = []
     for item in text.split(","):
@@ -375,10 +370,10 @@ def _parse_schemes(text: str) -> list[tuple[int, int]]:
     return out
 
 
-# Text converter for each config key; a converter raises ValueError or
-# KeyError on text it cannot read. scheme (or k and n) sets params and nodes
-# sets m_devices; every other key sets the SimConfig field of the same name,
-# and SimConfig checks the value.
+# Text converter for each config key; a converter raises ValueError on text
+# it cannot read. scheme (or k and n) sets params and nodes sets m_devices;
+# every other key sets the SimConfig field of the same name, and SimConfig
+# checks the value.
 _CONVERTERS = {
     "scheme": _parse_schemes,
     "k": int,
@@ -394,7 +389,6 @@ _CONVERTERS = {
     "trials": int,
     "recon_mode": str,
     "max_tries": int,
-    "group_by_mac": lambda text: _BOOL[text.lower()],
     "eviction": lambda text: text if text in ("auto", "off") else float(text),
 }
 
@@ -420,7 +414,7 @@ def _config_settings(lines: Iterable[str]) -> dict[str, tuple[object, int]]:
             raise ParseError(lineno, f"unknown config key {key!r}")
         try:
             settings[key] = (convert(value), lineno)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ParseError(lineno, f"bad value for {key}: {value!r}") from exc
     return settings
 

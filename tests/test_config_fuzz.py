@@ -80,15 +80,14 @@ def read_pairs(text):
         int(k_text), int(n_text)
 
 
-# How each known key reads its text; a reader raises ValueError or KeyError.
+# How each known key reads its text; a reader raises ValueError. An unknown
+# key (widgets, or the removed group_by_mac) has no reader.
 READERS = {
     **dict.fromkeys(("k", "n", "scanners", "seed", "trials", "max_tries"), int),
     **dict.fromkeys(("t_share", "adv_interval", "loss_rate", "horizon"), float),
     **dict.fromkeys(("scan_mode", "recon_mode"), str),
     "scheme": read_pairs,
     "nodes": lambda text: [int(x) for x in text.split(",")],
-    "group_by_mac": lambda text: dict.fromkeys(("true", "1", "yes", "false", "0", "no"))[
-        text.lower()],
     "eviction": lambda text: text in ("auto", "off") or float(text),
 }
 

@@ -233,6 +233,26 @@ def test_max_share_age_must_be_a_non_negative_time(age):
         Reconstructor(SchemeParams(3, 5), RandomSource(1), max_share_age=fine)
 
 
+@pytest.mark.parametrize("budget", [2.5, 1.0, math.inf, math.nan, "3"])
+def test_max_tries_must_be_an_integer(budget):
+    # A run stops when its tries equal the budget, so a budget that no try
+    # count equals would never stop it.
+    with pytest.raises(InvalidConfig) as info:
+        Reconstructor(SchemeParams(3, 5), RandomSource(1), max_tries=budget)
+    assert info.value.fields == ("max_tries",)
+    recon = Reconstructor(SchemeParams(3, 5), RandomSource(1))
+    with pytest.raises(InvalidConfig) as info:
+        recon.run(0.0, budget)  # checked before the pool is
+    assert info.value.fields == ("max_tries",)
+
+
+def test_options_are_keyword_only():
+    # The third positional parameter was once group_by_mac; an old call must
+    # fail rather than set another option.
+    with pytest.raises(TypeError):
+        Reconstructor(SchemeParams(3, 5), RandomSource(1), 10)
+
+
 def test_eviction_by_age_and_readmission():
     params = SchemeParams(3, 5)
     rng = RandomSource(58)
@@ -263,27 +283,6 @@ def test_aged_out_shares_leave_the_pool():
     for entry in fresh[:3]:
         results += recon.on_share_received(ReceivedShare(entry.share, entry.mac_token, 21.0))
     assert results == [identifier]
-
-
-def test_group_by_mac_recovers_per_device():
-    params = SchemeParams(3, 5)
-    rng = RandomSource(60)
-    recon = Reconstructor(params, RandomSource(10), group_by_mac=True)
-    wanted = []
-    for d in range(3):
-        identifier, entries = device_shares(rng, params, f"{d:02x}:22:22:22:22:22")
-        wanted.append(identifier)
-        for entry in entries:
-            recon.add_share(entry)
-    got = []
-    while True:
-        hit = recon.run(0.0)
-        if hit is None:
-            break
-        got.append(hit.identifier)
-        # Grouping means every candidate stayed within one address.
-        assert len({e.mac_token for e in hit.sources}) == 1
-    assert sorted(got) == sorted(wanted)
 
 
 def test_search_space_estimate_literal_values():
@@ -343,7 +342,7 @@ def test_report_line_round_trip():
     assert "1" in line
 
 
-def test_group_by_mac_exhaustive_check_never_mixes_addresses():
+def test_a_candidate_may_take_entries_of_two_addresses():
     # Each address holds one share of X and one of Y, so every one-address
     # candidate fails, and only a pair across the two addresses verifies.
     params = SchemeParams(2, 3)
@@ -352,17 +351,11 @@ def test_group_by_mac_exhaustive_check_never_mixes_addresses():
     y = split(identifier_new(rng), params, rng)
     pool = [ReceivedShare(Share(*x[0]), "a", 0.0), ReceivedShare(Share(*y[1]), "a", 0.0),
             ReceivedShare(Share(*y[0]), "b", 0.0), ReceivedShare(Share(*x[1]), "b", 0.0)]
-    for group_by_mac in (True, False):
-        recon = Reconstructor(params, RandomSource(13), group_by_mac=group_by_mac)
-        for entry in pool:
-            recon.add_share(entry)
-        hit = recon.run(0.0)
-        if group_by_mac:
-            # Unbudgeted, it stops after C(4, 2) tries, once the exhaustive
-            # check has skipped both mixed pairs.
-            assert hit is None and recon.total_tries == math.comb(4, 2)
-        else:
-            assert hit is not None and len({e.mac_token for e in hit.sources}) == 2
+    recon = Reconstructor(params, RandomSource(13))
+    for entry in pool:
+        recon.add_share(entry)
+    hit = recon.run(0.0)
+    assert hit is not None and len({e.mac_token for e in hit.sources}) == 2
 
 
 def test_incompatible_pool_does_not_loop_forever():
@@ -399,15 +392,12 @@ def oracle_pools(count):
         yield params, pool
 
 
-def pool_verifies(params, pool, group_by_mac, values):
-    """Brute force: some k-subset of distinct ids and distinct bodies, of one
-    address when grouped, interpolates to a value whose checksum verifies.
-    ``values`` memoises interpolations by point set."""
+def pool_verifies(params, pool, values):
+    """Brute force: some k-subset of distinct ids interpolates to a value
+    whose checksum verifies. ``values`` memoises interpolations by point set."""
     for group in itertools.combinations(pool, params.k):
         points = sorted((entry.share.share_id, entry.share.body) for entry in group)
-        if len({x for x, _ in points}) < params.k or len({b for _, b in points}) < params.k:
-            continue
-        if group_by_mac and len({entry.mac_token for entry in group}) > 1:
+        if len({x for x, _ in points}) < params.k:
             continue
         key = tuple(points)
         if key not in values:
@@ -420,35 +410,42 @@ def pool_verifies(params, pool, group_by_mac, values):
 
 def test_unbudgeted_run_recovers_exactly_when_some_subset_verifies():
     # The search's stop rule against brute force: a run without a budget
-    # returns a hit exactly when some compatible k-subset of the pool verifies.
-    outcomes = {(group_by_mac, hit): 0 for group_by_mac in (False, True) for hit in (False, True)}
+    # returns a hit exactly when some k-subset of the pool with distinct ids
+    # verifies.
+    outcomes = {False: 0, True: 0}
     for i, (params, pool) in enumerate(oracle_pools(400)):
+        recon = Reconstructor(params, RandomSource(i))
+        for entry in pool:
+            assert recon.add_share(entry)
+        hit = recon.run(0.0)
         values = {}
-        for group_by_mac in (False, True):
-            recon = Reconstructor(params, RandomSource(i), group_by_mac=group_by_mac)
-            for entry in pool:
-                assert recon.add_share(entry)
-            hit = recon.run(0.0)
-            expected = pool_verifies(params, pool, group_by_mac, values)
-            assert (hit is not None) == expected, (i, group_by_mac, recon.total_tries)
-            if hit is not None:
-                assert pool_verifies(params, hit.sources, group_by_mac, values)
-            outcomes[group_by_mac, expected] += 1
+        expected = pool_verifies(params, pool, values)
+        assert (hit is not None) == expected, (i, recon.total_tries)
+        if hit is not None:
+            assert pool_verifies(params, hit.sources, values)
+        outcomes[expected] += 1
     assert min(outcomes.values()) > 40, outcomes
 
 
-def test_dead_ends_count_against_the_budget():
-    # Two ids with one body: every candidate is a dead end, and the run stops
-    # after `budget` of them without a try. A dead end costs one accepted
-    # draw and 4 * size + 17 rejected ones.
-    body = identifier_new(RandomSource(68))
+def test_one_body_under_two_ids_is_an_ordinary_candidate():
+    # At k = 2, entries with one body under ids 1 and 2 interpolate to that
+    # body. When it is not an identifier every try fails and the run spends
+    # its budget; when it is, the first try recovers it.
+    identifier = identifier_new(RandomSource(68))
+    corrupt = identifier[:-1] + bytes([identifier[-1] ^ 1])
+    assert not identifier_verify(corrupt)
     for budget in (1, 2, 3, 5):
         recon = Reconstructor(SchemeParams(2, 3), RandomSource(budget))
         for sid in (1, 2):
-            recon.add_share(ReceivedShare(Share(sid, body), "t", 0.0))
+            recon.add_share(ReceivedShare(Share(sid, corrupt), "t", 0.0))
         assert recon.run(0.0, budget) is None
-        assert recon.total_tries == 0
-        assert recon.total_draws == budget * (1 + 4 * 2 + 17)
+        assert recon.total_tries == budget
+        recon = Reconstructor(SchemeParams(2, 3), RandomSource(budget))
+        for sid in (1, 2):
+            recon.add_share(ReceivedShare(Share(sid, identifier), "t", 0.0))
+        hit = recon.run(0.0, budget)
+        assert hit is not None and hit.identifier == identifier
+        assert hit.tries == recon.total_tries == 1 and recon.pool_size == 0
 
 
 UNSATISFIABLE_POOL = textwrap.dedent("""
@@ -472,14 +469,13 @@ UNSATISFIABLE_POOL = textwrap.dedent("""
     assert found == [] and recon.total_tries == 4, (found, recon.total_tries)
     # Device a's third share completes it.
     assert recon.on_share_received(ReceivedShare(a[2], "a", 1.0)) == [id_a]
-    # Two ids with one body: no candidate may hold both, so the run makes no
-    # try. Its first dead end is its C(2, 2)-th failure, and the exhaustive
-    # check finds no pair with two bodies.
+    # Two ids with one body, a share body and not an identifier: the one
+    # candidate fails, and the run stops after C(2, 2) = 1 try.
     twin = Reconstructor(SchemeParams(2, 3), RandomSource(3))
     for sid in (1, 2):
         twin.add_share(ReceivedShare(Share(sid, a[0].body), "t", 0.0))
     assert twin.run(0.0) is None, "hit"
-    assert twin.total_tries == 0 and twin.total_draws > 0, (twin.total_tries, twin.total_draws)
+    assert twin.total_tries == 1, twin.total_tries
     print("returned")
 """)
 
@@ -602,13 +598,12 @@ def test_index_draws_follow_randrange(seed):
         assert generator(64) == reference.getrandbits(64)
 
 
-@pytest.mark.parametrize("group_by_mac", [False, True])
-def test_total_draws_counts_index_draws(group_by_mac):
+def test_total_draws_counts_index_draws():
     # Replaying total_draws randrange calls per run, at the pool size the run
     # started with, must leave a reference generator where the search's is.
     params = SchemeParams(3, 5)
     rng = RandomSource(65)
-    recon = Reconstructor(params, RandomSource(14), group_by_mac=group_by_mac)
+    recon = Reconstructor(params, RandomSource(14))
     for d in range(4):
         _, entries = device_shares(rng, params, f"{d:02x}")
         for entry in entries[:5 if d < 2 else 2]:
@@ -623,7 +618,7 @@ def test_total_draws_counts_index_draws(group_by_mac):
     assert recon._rng.getrandbits(64) == reference.getrandbits(64)
 
 
-def _search_digest(check_state, group_by_mac) -> str:
+def _search_digest(check_state) -> str:
     """Hash of every search outcome over a grid of pools and budgets.
 
     Each scenario hears three devices twice over, with evictions between
@@ -635,7 +630,8 @@ def _search_digest(check_state, group_by_mac) -> str:
     for k, n in ((2, 3), (3, 5), (4, 6), (6, 7)):
         params = SchemeParams(k, n)
         for complete, budget in itertools.product((False, True), (None, 1, 7, 130)):
-            label = f"{k} {n} {complete} {budget} {group_by_mac}"
+            # The trailing False is the label the digest was recorded with.
+            label = f"{k} {n} {complete} {budget} False"
             rng = RandomSource(k * 100 + n)
             heard = []
             for mac in ("aa", "bb", "cc"):
@@ -645,8 +641,7 @@ def _search_digest(check_state, group_by_mac) -> str:
             # The complete device comes last, so a window can hold all of it.
             heard = heard[1] + heard[2] + heard[0]
             search_rng = RandomSource(len(heard) + 17 * budget if budget else 5)
-            recon = Reconstructor(params, search_rng, group_by_mac=group_by_mac,
-                                  max_share_age=0.25 * (n + 2))
+            recon = Reconstructor(params, search_rng, max_share_age=0.25 * (n + 2))
             now = 0.0
             for _ in range(2):
                 for entry in heard:
@@ -666,14 +661,9 @@ def _search_digest(check_state, group_by_mac) -> str:
     return digest.hexdigest()
 
 
-# One digest per group_by_mac. The ungrouped one was recorded while the
-# search could still carry a candidate from one run into the next, before the
-# candidate became local to Reconstructor.run; the grouped one when a dead
-# end became a failed attempt.
-SEARCH_DIGESTS = {
-    False: "740fc9f713bdad501447ce9b5bfff61e2b484bfc5ffd91aa7a8e4086549529a4",
-    True: "0fa0ab35133f4fcf0e72a3a20cad5e0fa02aa136f25597d01197d1dcd43ca137",
-}
+# Recorded while the search could still carry a candidate from one run into
+# the next, before the candidate became local to Reconstructor.run.
+SEARCH_DIGEST = "740fc9f713bdad501447ce9b5bfff61e2b484bfc5ffd91aa7a8e4086549529a4"
 
 
 def test_search_outcomes_are_pinned():
@@ -681,8 +671,7 @@ def test_search_outcomes_are_pinned():
         assert recon._oldest == min((entry.received_at for entry in recon._pool),
                                     default=math.inf)
 
-    got = {grouped: _search_digest(check_state, grouped) for grouped in (False, True)}
-    assert got == SEARCH_DIGESTS
+    assert _search_digest(check_state) == SEARCH_DIGEST
 
 
 def syndrome_candidates(k, rng):

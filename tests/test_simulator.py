@@ -90,6 +90,15 @@ def test_config_validation():
             SimConfig(params=params, **kwargs)
 
 
+@pytest.mark.parametrize("max_tries", [2.5, math.inf, "3"])
+def test_max_tries_must_be_an_integer(max_tries):
+    # A run stops when its tries equal the budget, so a budget that no try
+    # count equals would never stop an arrival-mode run.
+    with pytest.raises(InvalidConfig) as info:
+        SimConfig(SchemeParams(3, 5), m_devices=3, recon_mode="arrival", max_tries=max_tries)
+    assert info.value.fields == ("max_tries",)
+
+
 def test_effective_horizon_default_is_one_cycle():
     cfg = SimConfig(params=SchemeParams(3, 5), t_share=5.0)
     assert cfg.effective_horizon == 25.0
@@ -164,43 +173,32 @@ def test_determinism():
 
 # At 0.1 s advertising every share is heard several times per slot, so these
 # runs take the duplicate-reception path; at (2, 3) with 1 s slots a 0.5 s
-# eviction drops a share mid-slot and its next beacon re-admits it. One
-# digest per group_by_mac: the ungrouped ones were recorded before duplicate
-# receptions were made O(1), the grouped ones when a dead end of the search
-# became a failed attempt.
+# eviction drops a share mid-slot and its next beacon re-admits it. Recorded
+# before duplicate receptions were made O(1).
 DUPLICATE_PATH_DIGESTS = {
-    (2, 3, 1.0, 15.0): {
-        False: "d6ae39e4c66c2babe1fae9623d66ab844d424b0e8060cf049437626b79d97d02",
-        True: "d3b1b8d43de9987cd05772ddd2988c2fefc1464352b5ca3f78482096a09b3636",
-    },
-    (3, 5, 0.2, 10.0): {
-        False: "d9c2a55b2c218140f1b58bfc976d54206957b8170b909acde6c43d1f5438c5dd",
-        True: "f5627d466c1e5fc4e2129d1aa516143d43a3b05656aa6bc470385cc3a1654e03",
-    },
+    (2, 3, 1.0, 15.0): "d6ae39e4c66c2babe1fae9623d66ab844d424b0e8060cf049437626b79d97d02",
+    (3, 5, 0.2, 10.0): "d9c2a55b2c218140f1b58bfc976d54206957b8170b909acde6c43d1f5438c5dd",
 }
 
 
 @pytest.mark.parametrize("k, n, t_share, horizon", list(DUPLICATE_PATH_DIGESTS))
 def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
-    digests = {grouped: hashlib.sha256() for grouped in (False, True)}
+    digest = hashlib.sha256()
     duplicates = 0
-    for recon_mode, loss, eviction, scan, grouped in itertools.product(
-        ("cycle", "arrival"), (0.0, 0.4), ("auto", "off", 0.5),
-        ("continuous", "balanced"), (False, True),
+    for recon_mode, loss, eviction, scan in itertools.product(
+        ("cycle", "arrival"), (0.0, 0.4), ("auto", "off", 0.5), ("continuous", "balanced"),
     ):
         result = run_simulation(SimConfig(
             SchemeParams(k, n), m_devices=2, scanners=2, t_share=t_share, adv_interval=0.1,
             loss_rate=loss, scan_mode=scan, horizon=horizon, seed=1, recon_mode=recon_mode,
-            group_by_mac=grouped, eviction=eviction,
+            eviction=eviction,
         ))
         assert result.spurious == 0
         duplicates += sum(result.received) - sum(result.slots_received)
-        digests[grouped].update(repr((result.recoveries, result.total_tries, result.latencies,
-                                      result.received, result.slots_received,
-                                      result.reports)).encode())
+        digest.update(repr((result.recoveries, result.total_tries, result.latencies,
+                            result.received, result.slots_received, result.reports)).encode())
     assert duplicates > 0
-    got = {grouped: digest.hexdigest() for grouped, digest in digests.items()}
-    assert got == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
+    assert digest.hexdigest() == DUPLICATE_PATH_DIGESTS[k, n, t_share, horizon]
 
 
 # sha256 over every SimResult field but config, for 120 runs of 3 devices and
@@ -208,36 +206,30 @@ def test_duplicate_receptions_leave_outputs_unchanged(k, n, t_share, horizon):
 # no eviction, or evictions after a whole cycle and a slot (auto), within a
 # slot (0.25 s, so a share is re-admitted mid-slot) or before the next beacon
 # (0 and 0.05 s); and scan windows that hear some devices' beacons only
-# every other time (custom:0.05:0.2). One digest per group_by_mac: the
-# ungrouped one was recorded before the simulator handled slot runs instead
-# of single beacons, the grouped one when a dead end of the search became a
-# failed attempt.
-SIMULATOR_DIFFERENTIAL_DIGESTS = {
-    False: "9f789a927ea9d6c132a4fc038c147e66264eba100f256ef17fc401119b4adeae",
-    True: "4db8c41ce7ed13ed0281fb8f3ca9f2abcb660749dc3e39ea4957a7d9b8f5dd82",
-}
+# every other time (custom:0.05:0.2). Recorded before the simulator handled
+# slot runs instead of single beacons.
+SIMULATOR_DIFFERENTIAL_DIGEST = "9f789a927ea9d6c132a4fc038c147e66264eba100f256ef17fc401119b4adeae"
 
 
 def test_simulator_outputs_are_pinned():
-    digests = {grouped: hashlib.sha256() for grouped in (False, True)}
+    digest = hashlib.sha256()
     repeats = 0
-    for recon_mode, loss, eviction, scan, grouped in itertools.product(
+    for recon_mode, loss, eviction, scan in itertools.product(
         ("cycle", "arrival"), (0.0, 0.3), ("auto", "off", 0, 0.05, 0.25),
-        ("continuous", "balanced", "custom:0.05:0.2"), (False, True),
+        ("continuous", "balanced", "custom:0.05:0.2"),
     ):
         result = run_simulation(SimConfig(
             SchemeParams(3, 4), m_devices=3, scanners=3, t_share=0.5, adv_interval=0.1,
             loss_rate=loss, scan_mode=scan, horizon=9.0, seed=5, recon_mode=recon_mode,
-            group_by_mac=grouped, eviction=eviction,
+            eviction=eviction,
         ))
         repeats += sum(result.received) - sum(result.slots_received)
         fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
         del fields["config"]
         fields["resolved_devices"] = sorted(fields["resolved_devices"])
-        digests[grouped].update(repr(sorted(fields.items())).encode())
+        digest.update(repr(sorted(fields.items())).encode())
     assert repeats > 0
-    got = {grouped: digest.hexdigest() for grouped, digest in digests.items()}
-    assert got == SIMULATOR_DIFFERENTIAL_DIGESTS
+    assert digest.hexdigest() == SIMULATOR_DIFFERENTIAL_DIGEST
 
 
 def test_field_run_with_a_checksum_false_accept_is_pinned():
@@ -431,7 +423,6 @@ def test_load_config_grid_and_scalars(tmp_path):
         "trials = 3\n"
         "recon_mode = arrival\n"
         "max_tries = 500\n"
-        "group_by_mac = yes\n"
         "eviction = 12\n"
     )
     configs = load_sim_configs(str(path))
@@ -449,7 +440,6 @@ def test_load_config_grid_and_scalars(tmp_path):
     assert cfg.trials == 3
     assert cfg.recon_mode == "arrival"
     assert cfg.max_tries == 500
-    assert cfg.group_by_mac is True
     assert cfg.eviction == 12.0
 
 
@@ -534,7 +524,7 @@ def test_load_config_reports_the_first_bad_line(tmp_path):
 
 # One out-of-range value per config key. Every SimConfig field is a key of
 # the same name except params (scheme, or k and n) and m_devices (nodes).
-# seed and group_by_mac have no range, so theirs fail text conversion.
+# seed has no range, so its value fails text conversion.
 BAD_VALUES = {
     "scheme": "6:5",
     "nodes": "0",
@@ -548,7 +538,6 @@ BAD_VALUES = {
     "trials": "0",
     "recon_mode": "batchy",
     "max_tries": "-1",
-    "group_by_mac": "maybe",
     "eviction": "inf",
 }
 
@@ -574,5 +563,5 @@ def test_simconfig_owns_every_default_and_rule(tmp_path, monkeypatch):
         with pytest.raises(ParseError) as info:
             load_sim_configs(str(path))
         assert info.value.line == 3, key
-        if key not in ("seed", "group_by_mac"):
+        if key != "seed":
             assert isinstance(info.value.__cause__, (InvalidConfig, InvalidParams)), key
