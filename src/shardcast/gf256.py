@@ -1,10 +1,13 @@
 """GF(2^8) arithmetic under the reduction polynomial 0x11B.
 
-The field is x^8 + x^4 + x^3 + x + 1 with generator 3. Multiplication goes
-through 256-entry log/exp tables; the tables are built from, and validated
-against, a bitwise carry-less multiply so a corrupted table can never ship
-silently. `selftest` checks every product pair and every inverse
-exhaustively and is wired into the test suite.
+The field is x^8 + x^4 + x^3 + x + 1 with generator 3. ``MUL[a]`` is the
+256-byte table of ``a*b`` for every byte ``b`` and is the field's only
+multiply: `gf_mul` reads it, and the share kernels scale a whole body with
+one ``bytes.translate(MUL[a])``. It is built from 256-entry log/exp tables,
+which also give inverses and Lagrange weights. The tables come from a
+bitwise carry-less multiply and are checked against it at import, so a
+corrupted table can never ship silently. `selftest` checks every product
+pair and every inverse exhaustively and is wired into the test suite.
 """
 
 from .errors import ZeroInverse
@@ -43,20 +46,27 @@ def _build_tables() -> tuple[list[int], list[int]]:
 EXP, LOG = _build_tables()
 
 
+def _build_mul() -> tuple[bytes, ...]:
+    exp = bytes(EXP)
+    logs = bytes(LOG[1:])  # log b for b = 1..255
+    rows = [bytes(256)]
+    for a in range(1, 256):
+        la = LOG[a]
+        rows.append(b"\x00" + logs.translate(exp[la : la + 256]))
+    return tuple(rows)
+
+
+MUL = _build_mul()
+
+
 def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return EXP[LOG[a] + LOG[b]]
+    return MUL[a][b]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroInverse("0 has no multiplicative inverse")
     return EXP[255 - LOG[a]]
-
-
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
 
 
 def _validate_tables() -> None:
@@ -80,7 +90,7 @@ _validate_tables()
 
 
 def selftest() -> None:
-    """Exhaustively compare the table path with the bitwise path."""
+    """Exhaustively compare the product table with the bitwise multiply."""
     for a in range(256):
         for b in range(256):
             if gf_mul(a, b) != clmul(a, b):

@@ -1,11 +1,10 @@
 """Bulk share kernels: polynomial share splitting and recovery.
 
 Every multiply by a field constant ``a`` goes through ``MUL[a]``, the
-256-byte table of ``a*b`` for every byte ``b``, so a whole share body is
-scaled by one ``bytes.translate`` and bodies are added with one XOR of
-big integers. The table is built from the `gf256` log/exp tables and
-cross-checked at import against the bitwise multiply; a split/recover
-round trip guards the kernels themselves.
+256-byte table of ``a*b`` for every byte ``b`` that `gf256` builds and
+checks, so a whole share body is scaled by one ``bytes.translate`` and
+bodies are added with one XOR of big integers. A split/recover round trip
+at import guards the kernels themselves.
 """
 
 from __future__ import annotations
@@ -13,21 +12,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import gf256
+from .gf256 import MUL
 
 BACKEND = "python"
-
-
-def _build_mul() -> tuple[bytes, ...]:
-    exp = bytes(gf256.EXP)
-    logs = bytes(gf256.LOG[1:])  # log b for b = 1..255
-    rows = [bytes(256)]
-    for a in range(1, 256):
-        la = gf256.LOG[a]
-        rows.append(b"\x00" + logs.translate(exp[la : la + 256]))
-    return tuple(rows)
-
-
-MUL = _build_mul()
 
 
 def split_secret(secret: bytes, k: int, n: int, coeffs: bytes) -> list[bytes]:
@@ -99,11 +86,6 @@ def recover_secret(xs: bytes, bodies: bytes) -> bytes:
 
 
 def _startup_check() -> None:
-    probes = (0, 1, 2, 0x1B, 0x53, 0x80, 0xCA, 0xFF)
-    for a in probes:
-        for b in probes:
-            if MUL[a][b] != gf256.clmul(a, b):
-                raise AssertionError(f"product table wrong at {a:#x}*{b:#x}")
     secret = bytes(range(16))
     coeffs = bytes((7 * i + 3) % 256 for i in range(16 * 2))
     bodies = split_secret(secret, 3, 5, coeffs)

@@ -81,8 +81,9 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("m_devices", "scanners", "trials"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be at least 1", name)
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise InvalidConfig(f"{name} {value!r} must be an integer of at least 1", name)
         if not 0.0 <= self.loss_rate < 1.0:
             raise InvalidConfig("loss_rate must lie in [0, 1)", "loss_rate")
         if self.recon_mode not in RECON_MODES:

@@ -99,6 +99,17 @@ def test_max_tries_must_be_an_integer(max_tries):
     assert info.value.fields == ("max_tries",)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("m_devices", 2.5), ("m_devices", "3"), ("scanners", 1.5), ("trials", 2.5)]
+)
+def test_counts_must_be_integers(name, value):
+    # A count is a number of devices, scanners or runs: a float would reach
+    # range() in run_trials, and a string the comparison with 1.
+    with pytest.raises(InvalidConfig) as info:
+        SimConfig(SchemeParams(3, 5), **{name: value})
+    assert info.value.fields == (name,)
+
+
 def test_effective_horizon_default_is_one_cycle():
     cfg = SimConfig(params=SchemeParams(3, 5), t_share=5.0)
     assert cfg.effective_horizon == 25.0
