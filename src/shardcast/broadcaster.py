@@ -45,6 +45,12 @@ class BroadcastConfig:
     adv_interval: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.params, SchemeParams):
+            raise InvalidConfig(f"params {self.params!r} must be a SchemeParams", "params")
+        for name in ("t_share", "adv_interval"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)):
+                raise InvalidConfig(f"{name} {value!r} must be a number of seconds", name)
         # A cycle, n slots of t_share, needs a positive, finite tick count.
         if to_ticks(self.params.n * self.t_share, "t_share") < 1:
             raise InvalidConfig(f"t_share {self.t_share} is not positive", "t_share")

@@ -168,13 +168,12 @@ def read_sightings(path: str) -> SightingLog:
 def _sighting_pairs(lines: Iterable[str]) -> dict[tuple[str, str], array]:
     """Each (device, scanner) pair's timestamps in line order; raises
     ParseError at the first bad row."""
-    pairs: dict[tuple[str, str], array] = {}
     numbered = enumerate(lines, start=1)
     for lineno, line in numbered:
         if line.strip():
             break
     else:
-        return pairs
+        return {}
     delimiter = "\t" if "\t" in line else ","
     try:
         int(line.split(delimiter)[0])
@@ -182,10 +181,30 @@ def _sighting_pairs(lines: Iterable[str]) -> dict[tuple[str, str], array]:
         pass  # header row
     else:
         numbered = chain([(lineno, line)], numbered)
-    # int() ignores surrounding whitespace as str.strip() does, so only
-    # the tokens are stripped; a blank line fails the first int() or
-    # has fewer than 4 columns, and is skipped there.
+    # Each pair's timestamps under the key device + delimiter + scanner,
+    # built from the stripped tokens. A key holds exactly one delimiter and
+    # no padding, so only an unpadded four-column row can match one, and
+    # the full rules below would give that row the same pair: such a row
+    # needs only its timestamp and RSSI read. Every other row, and one
+    # whose numbers fail, takes the full rules.
+    index: dict[str, array] = {}
     for lineno, line in numbered:
+        ts_text, _, rest = line.partition(delimiter)
+        key, _, rssi_text = rest.rpartition(delimiter)
+        stamps = index.get(key)
+        if stamps is not None:
+            try:
+                ts = int(ts_text)
+                int(rssi_text)
+            except ValueError:
+                pass
+            else:
+                if 0 <= ts < TIMESTAMP_LIMIT:
+                    stamps.append(ts)
+                    continue
+        # int() ignores surrounding whitespace as str.strip() does, so only
+        # the tokens are stripped; a blank line fails the first int() or
+        # has fewer than 4 columns, and is skipped there.
         fields = line.split(delimiter)
         if len(fields) < 4:
             if not line.strip():
@@ -210,10 +229,15 @@ def _sighting_pairs(lines: Iterable[str]) -> dict[tuple[str, str], array]:
         scanner = scanner.strip()
         if not device or not scanner:
             raise ParseError(lineno, "empty device or scanner token")
-        stamps = pairs.get((device, scanner))
+        key = device + delimiter + scanner
+        stamps = index.get(key)
         if stamps is None:
-            stamps = pairs[sys.intern(device), sys.intern(scanner)] = array("q")
+            stamps = index[key] = array("q")
         stamps.append(ts)
+    pairs: dict[tuple[str, str], array] = {}
+    for key, stamps in index.items():
+        device, _, scanner = key.partition(delimiter)
+        pairs[sys.intern(device), sys.intern(scanner)] = stamps
     return pairs
 
 

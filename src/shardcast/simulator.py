@@ -45,6 +45,8 @@ RECON_MODES = ("cycle", "arrival")
 
 def scan_window_params(mode: str) -> tuple[float, float]:
     """(window_s, interval_s) for a scan mode name; custom:W:I supported."""
+    if not isinstance(mode, str):
+        raise InvalidConfig(f"scan mode {mode!r} must be a name", "scan_mode")
     if mode in SCAN_MODES:
         return SCAN_MODES[mode]
     if mode.startswith("custom:"):
@@ -84,16 +86,20 @@ class SimConfig:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise InvalidConfig(f"{name} {value!r} must be an integer of at least 1", name)
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise InvalidConfig("loss_rate must lie in [0, 1)", "loss_rate")
+        if not isinstance(self.seed, int):  # trial i runs at seed + i
+            raise InvalidConfig(f"seed {self.seed!r} must be an integer", "seed")
+        if not (isinstance(self.loss_rate, (int, float)) and 0.0 <= self.loss_rate < 1.0):
+            raise InvalidConfig(f"loss_rate {self.loss_rate!r} must lie in [0, 1)", "loss_rate")
         if self.recon_mode not in RECON_MODES:
             raise InvalidConfig(f"unknown recon_mode {self.recon_mode!r}", "recon_mode")
         scan_window_params(self.scan_mode)  # validates
-        if self.horizon is not None and not 0 < self.horizon:
-            raise InvalidConfig("horizon must be positive", "horizon")
+        if self.horizon is not None and not (
+            isinstance(self.horizon, (int, float)) and 0 < self.horizon
+        ):
+            raise InvalidConfig(f"horizon {self.horizon!r} must be positive seconds", "horizon")
         check_max_tries(self.max_tries)
-        if self.eviction not in ("auto", "off") and (
-            isinstance(self.eviction, str) or not 0 <= self.eviction < math.inf
+        if self.eviction not in ("auto", "off") and not (
+            isinstance(self.eviction, (int, float)) and 0 <= self.eviction < math.inf
         ):
             raise InvalidConfig("eviction must be auto, off, or finite seconds >= 0", "eviction")
         self.broadcast_config()  # the advertising rules

@@ -184,3 +184,60 @@ def altbeacon_parse_ref(frame) -> tuple:
         return "BadShareId"
     rssi = data[24] - 256 if data[24] >= 128 else data[24]
     return (data[0] + 256 * data[1], data[4], bytes(data[5:21]), rssi, data[25])
+
+
+SIGHTING_TIMESTAMP_LIMIT = 2**63
+
+
+def sightings_ref(path):
+    """A sighting log read line by line by its documented rules.
+
+    Returns (pairs, error). ``pairs`` maps each (device, scanner) pair, in
+    order of first appearance, to its timestamps sorted; ``error`` is None
+    or the (line, message) of the first bad line, and then ``pairs`` is
+    None. Lines are counted as a text read counts them. Blank lines are
+    skipped. The first other line picks the delimiter (tab if it holds
+    one, else comma), and it is a header, skipped, when its first field is
+    not an integer. Each data row needs four columns (more are ignored):
+    a timestamp in [0, 2**63), a device and a scanner token, both
+    non-empty once stripped, and an integer RSSI.
+    """
+    pairs = {}
+    delimiter = None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return None, (lineno, "not UTF-8 text")
+            if not line.strip():
+                continue
+            if delimiter is None:
+                delimiter = "\t" if "\t" in line else ","
+                if not _is_int(line.split(delimiter)[0]):
+                    continue
+            fields = line.split(delimiter)
+            if len(fields) < 4:
+                return None, (lineno, f"expected at least 4 columns, got {len(fields)}")
+            if not _is_int(fields[0]):
+                return None, (lineno, f"bad timestamp {fields[0].strip()!r}")
+            ts = int(fields[0])
+            if ts < 0:
+                return None, (lineno, f"negative timestamp {ts}")
+            if ts >= SIGHTING_TIMESTAMP_LIMIT:
+                return None, (lineno, f"timestamp {ts} out of range (must be below 2**63)")
+            if not _is_int(fields[3]):
+                return None, (lineno, f"bad rssi {fields[3].strip()!r}")
+            device, scanner = fields[1].strip(), fields[2].strip()
+            if not device or not scanner:
+                return None, (lineno, "empty device or scanner token")
+            pairs.setdefault((device, scanner), []).append(ts)
+    return {pair: sorted(stamps) for pair, stamps in pairs.items()}, None
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True

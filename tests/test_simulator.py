@@ -110,6 +110,19 @@ def test_counts_must_be_integers(name, value):
     assert info.value.fields == (name,)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("loss_rate", "0.1"), ("horizon", "5"), ("t_share", "5"), ("adv_interval", None),
+    ("eviction", None), ("scan_mode", 3), ("params", (3, 5)), ("seed", "x"),
+])
+def test_settings_of_the_wrong_type_are_invalid(name, value):
+    # Each used to leak a bare TypeError or AttributeError, at construction
+    # or (seed) later in run_trials.
+    settings = {"params": SchemeParams(3, 5), name: value}
+    with pytest.raises(InvalidConfig) as info:
+        SimConfig(**settings)
+    assert info.value.fields == (name,)
+
+
 def test_effective_horizon_default_is_one_cycle():
     cfg = SimConfig(params=SchemeParams(3, 5), t_share=5.0)
     assert cfg.effective_horizon == 25.0
