@@ -77,10 +77,6 @@ class ExposureScheme:
         if self.t < 1:
             raise InvalidScheme(f"slot length must be at least 1 s, got {self.t}")
 
-    @property
-    def window_s(self) -> int:
-        return self.n * self.t
-
 
 @dataclass(frozen=True)
 class ExposureReport:
@@ -245,8 +241,8 @@ def _sighting_pairs(lines: Iterable[str]) -> dict[tuple[str, str], array]:
 
 
 def _check_gap(max_gap: int) -> None:
-    if max_gap < 0:
-        raise InvalidConfig("max_gap must be non-negative", "max_gap")
+    if not (isinstance(max_gap, (int, float)) and max_gap >= 0):
+        raise InvalidConfig(f"max_gap {max_gap!r} must be a non-negative number", "max_gap")
 
 
 def extract_encounters(

@@ -6,8 +6,9 @@ multiply: `gf_mul` reads it, and the share kernels scale a whole body with
 one ``bytes.translate(MUL[a])``. It is built from 256-entry log/exp tables,
 which also give inverses and Lagrange weights. The tables come from a
 bitwise carry-less multiply and are checked against it at import, so a
-corrupted table can never ship silently. `selftest` checks every product
-pair and every inverse exhaustively and is wired into the test suite.
+corrupted table can never ship silently. Acceptance check 2
+(``tests/test_acceptance.py::test_02_field_soundness``) compares every
+product pair and every inverse with an independent reference.
 """
 
 from .errors import ZeroInverse
@@ -78,7 +79,7 @@ def _validate_tables() -> None:
         if EXP[LOG[value]] != value:
             raise AssertionError("log/exp tables disagree")
     # Sampled product comparison against the bitwise multiply. The
-    # exhaustive 65,536-pair sweep lives in selftest().
+    # exhaustive 65,536-pair sweep is acceptance check 2.
     probes = (0, 1, 2, 3, 0x1B, 0x53, 0x80, 0xCA, 0xFE, 0xFF)
     for a in probes:
         for b in probes:
@@ -88,13 +89,3 @@ def _validate_tables() -> None:
 
 _validate_tables()
 
-
-def selftest() -> None:
-    """Exhaustively compare the product table with the bitwise multiply."""
-    for a in range(256):
-        for b in range(256):
-            if gf_mul(a, b) != clmul(a, b):
-                raise AssertionError(f"product mismatch at {a:#x}*{b:#x}")
-    for a in range(1, 256):
-        if gf_mul(a, gf_inv(a)) != 1:
-            raise AssertionError(f"inverse wrong for {a:#x}")

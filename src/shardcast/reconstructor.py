@@ -107,11 +107,6 @@ def _candidate_value(bodies: dict[int, bytes], memo: dict[tuple[int, bytes], int
     return (total & _VALUE_MASK).to_bytes(IDENTIFIER_LEN, "big")
 
 
-def complementary_id_sets(params: SchemeParams) -> list[tuple[int, ...]]:
-    """Every k-subset of share ids 1..n that could complete a recovery."""
-    return list(combinations(range(1, params.n + 1), params.k))
-
-
 def estimate_search_space(m: int, params: SchemeParams) -> float:
     """Closed-form size estimate of the combination search at density m.
 
@@ -182,8 +177,10 @@ class Reconstructor:
         max_share_age: float | None = None,
     ):
         check_max_tries(max_tries)
-        if max_share_age is not None and not max_share_age >= 0:
-            raise InvalidConfig(f"max_share_age {max_share_age} must be a non-negative time",
+        if max_share_age is not None and not (
+            isinstance(max_share_age, (int, float)) and max_share_age >= 0
+        ):
+            raise InvalidConfig(f"max_share_age {max_share_age!r} must be a non-negative time",
                                 "max_share_age")
         self.params = params
         self.max_tries = max_tries
@@ -276,8 +273,6 @@ class Reconstructor:
         """
         if budget is None:
             budget = self.max_tries
-        elif isinstance(budget, int) and budget < 1:
-            return None
         else:
             check_max_tries(budget)
         k = self.params.k

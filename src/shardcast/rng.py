@@ -17,6 +17,6 @@ class RandomSource(random.Random):
         # (identifiers, share coefficients, MAC tokens) depends on it.
         return self.getrandbits(8 * n).to_bytes(n, "big")
 
-    def derive(self, bits: int = 48) -> "RandomSource":
-        """Child source seeded from this stream; keeps runs reproducible."""
-        return RandomSource(self.getrandbits(bits))
+    def derive(self) -> "RandomSource":
+        """Child source seeded with 48 bits of this stream; keeps runs reproducible."""
+        return RandomSource(self.getrandbits(48))

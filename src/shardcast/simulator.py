@@ -126,9 +126,7 @@ class SimResult:
     reports: list[ReconstructionReport]
     recoveries: int
     total_tries: int
-    mean_ntries: float
     latencies: list[float]
-    p50_latency_s: float
     undetected: int
     spurious: int
     emitted: int
@@ -296,9 +294,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         reports=[r.report() for r in recons],
         recoveries=recoveries,
         total_tries=total_tries,
-        mean_ntries=(total_tries / recoveries) if recoveries else math.nan,
         latencies=latencies,
-        p50_latency_s=statistics.median(latencies) if latencies else math.nan,
         undetected=m - len(resolved_devices),
         spurious=spurious,
         emitted=emitted,
@@ -434,13 +430,18 @@ def load_sim_configs(path: str) -> list[SimConfig]:
     of the same name. A key the file leaves out takes SimConfig's default.
     An unknown key or a value that does not convert raises ParseError at its
     line as the file is read; a value SimConfig rejects raises ParseError at
-    the line that set it.
+    the line that set it. A file with a ``scheme`` line and a ``k`` or ``n``
+    line raises ParseError at the later of them.
     """
     settings = read_utf8(path, _config_settings)
     scheme = settings.pop("scheme", None)
     k_setting, n_setting = settings.pop("k", None), settings.pop("n", None)
     if scheme is not None:
         schemes, params_line = scheme
+        both = [setting[1] for setting in (k_setting, n_setting) if setting is not None]
+        if both:
+            raise ParseError(max(params_line, *both),
+                             "config needs either scheme=k:n or k= and n=, not both")
     elif k_setting is not None and n_setting is not None:
         (k, k_line), (n, n_line) = k_setting, n_setting
         schemes, params_line = [(k, n)], max(k_line, n_line)

@@ -218,11 +218,6 @@ def test_scheme_validation():
         ExposureScheme(2, 4, 1.5)
 
 
-def test_window_length():
-    assert ExposureScheme(3, 5, 10).window_s == 50
-    assert ExposureScheme(1, 1, 1).window_s == 1
-
-
 # -- exposure -------------------------------------------------------------
 
 
@@ -381,6 +376,17 @@ def test_argument_errors_are_typed():
     with pytest.raises(InvalidConfig) as info:
         compute_scheme_exposure(rows, ExposureScheme(2, 2, 5), align="")
     assert info.value.fields == ("align",)
+
+
+@pytest.mark.parametrize("gap", ["5", None, math.nan])
+def test_a_gap_must_be_a_number(gap):
+    rows = as_sightings(make_rows(2, count=5))
+    with pytest.raises(InvalidConfig) as info:
+        extract_encounters(rows, gap)
+    assert info.value.fields == ("max_gap",)
+    with pytest.raises(InvalidConfig) as info:
+        encounter_statistics(rows, [3, gap])
+    assert info.value.fields == ("max_gap",)
 
 
 def test_encounter_statistics_rows():

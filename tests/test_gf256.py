@@ -67,8 +67,8 @@ def test_inverse_of_zero_raises():
 
 
 def test_kernels_multiply_with_the_checked_table():
-    # selftest and the acceptance field check read gf_mul, so they cover
-    # split, recover and the search only while all share one table.
+    # The acceptance field check (all 65,536 products) reads gf_mul, so it
+    # covers split, recover and the search only while all share one table.
     assert kernel.MUL is gf256.MUL
 
 
@@ -79,7 +79,3 @@ def test_generator_order_and_table_shape():
     assert sorted(gf256.LOG[1:]) == list(range(255))
     assert gf256.EXP[0] == 1
     assert gf256.EXP[255] == gf256.EXP[0]
-
-
-def test_selftest_exhaustive():
-    gf256.selftest()

@@ -26,7 +26,6 @@ from shardcast.reconstructor import (
     Reconstructor,
     _candidate_value,
     _syndrome_target,
-    complementary_id_sets,
     default_max_tries,
     estimate_search_space,
     expected_tries,
@@ -205,7 +204,8 @@ def test_budget_limits_tries_per_run():
     assert recon.total_tries - before <= 1
     if hit is None:
         assert recon.identifiers_recovered == 0
-    assert recon.run(0.0, budget=0) is None
+    with pytest.raises(InvalidConfig):
+        recon.run(0.0, budget=0)
     with pytest.raises(InvalidConfig):
         Reconstructor(params, RandomSource(99), max_tries=0)
 
@@ -223,7 +223,7 @@ def test_recovery_waits_for_kth_distinct_id():
     assert recon.on_share_received(entries[2]) == [identifier]
 
 
-@pytest.mark.parametrize("age", [-1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("age", [-1.0, -math.inf, math.nan, "5", [5]])
 def test_max_share_age_must_be_a_non_negative_time(age):
     with pytest.raises(InvalidConfig) as info:
         Reconstructor(SchemeParams(3, 5), RandomSource(1), max_share_age=age)
@@ -313,18 +313,6 @@ def test_expected_tries_budget_model():
     for m in (1, 3, 9):
         budget = default_max_tries(params, m)
         assert budget == 10 * math.ceil(expected_tries(params, m))
-
-
-def test_complementary_id_sets():
-    sets35 = complementary_id_sets(SchemeParams(3, 4))
-    assert sets35 == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    assert complementary_id_sets(SchemeParams(4, 4)) == [(1, 2, 3, 4)]
-    for n in range(2, 8):
-        for k in range(2, n + 1):
-            got = complementary_id_sets(SchemeParams(k, n))
-            assert len(got) == math.comb(n, k)
-            assert got == sorted(set(got))
-            assert all(len(s) == k and all(1 <= x <= n for x in s) for s in got)
 
 
 def test_report_line_round_trip():
