@@ -31,11 +31,14 @@ ADV_MAX_S = 10.24
 
 def to_ticks(seconds: float, name: str = "seconds") -> int:
     """Seconds as a whole count of ticks; ``InvalidConfig`` naming ``name``
-    when the count is not finite (an overflow, an infinity or NaN)."""
+    when ``seconds`` is not a number or the count is not finite (an
+    overflow, an infinity or NaN)."""
     try:
         return round(seconds / TICK_S)
     except (OverflowError, ValueError):
         raise InvalidConfig(f"{name} {seconds} s has no finite tick count", name) from None
+    except TypeError:
+        raise InvalidConfig(f"{name} {seconds!r} must be a number of seconds", name) from None
 
 
 @dataclass(frozen=True)

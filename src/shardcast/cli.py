@@ -15,7 +15,8 @@ import os
 import sys
 from collections.abc import Iterable
 from contextlib import contextmanager, suppress
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 from .beacon import DEFAULT_MFG_ID, DEFAULT_REF_RSSI, decode_frame, encode_frame
 from .errors import ParseError, ShardcastError, read_utf8
@@ -30,7 +31,7 @@ from .exposure import (
 from .identity import Share, identifier_new, identifier_verify
 from .rng import RandomSource
 from .shamir import SchemeParams, recover, split
-from .simulator import RECON_MODES, SimConfig, load_sim_configs, sweep, write_results
+from .simulator import SETTINGS, SimConfig, bad_value, load_sim_configs, sweep, write_results
 
 
 def _int_any_base(text: str) -> int:
@@ -178,33 +179,23 @@ def _run_configs(args, configs: list[SimConfig]) -> int:
     return 0
 
 
-# The simulate flags that set a SimConfig field other than the scheme and the
-# seed, by field name; a flag left out takes SimConfig's default.
-_SIMULATE_FIELDS = ("m_devices", "scanners", "t_share", "adv_interval", "loss_rate", "scan_mode",
-                    "horizon", "recon_mode", "trials")
-
-
 def cmd_simulate(args) -> int:
-    """One configuration, given by flags."""
+    """One configuration, given by flags; a flag left out takes SimConfig's default."""
     try:
         params = SchemeParams(args.k, args.n)
     except ShardcastError as exc:
         args.parser.error(str(exc))
-    given = {name: getattr(args, name) for name in _SIMULATE_FIELDS
-             if getattr(args, name) is not None}
-    return _run_configs(args, [SimConfig(params, seed=_resolve_seed(args), **given)])
+    given = {f.name: value for f in fields(SimConfig)
+             if (value := getattr(args, f.name, None)) is not None}
+    given["seed"] = _resolve_seed(args)
+    return _run_configs(args, [SimConfig(params, **given)])
 
 
 def cmd_sweep(args) -> int:
     """Every configuration of a config file; --seed and --trials override it."""
-    configs = []
-    for cfg in load_sim_configs(args.config):
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        configs.append(cfg)
-    return _run_configs(args, configs)
+    given = {name: value for name in ("seed", "trials")
+             if (value := getattr(args, name)) is not None}
+    return _run_configs(args, [replace(cfg, **given) for cfg in load_sim_configs(args.config)])
 
 
 def _parse_gaps(text: str, parser) -> list[int]:
@@ -239,6 +230,15 @@ def cmd_encounters(args) -> int:
 
 
 # -- parser --------------------------------------------------------------
+
+
+def _setting(key: str, text: str):
+    """A simulate flag's value, read by its config key's converter. simulate
+    takes one device count, where a config file's nodes is a list."""
+    try:
+        return (int if key == "nodes" else SETTINGS[key])(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(bad_value(key, text)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,18 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = subs.add_parser("simulate", help="run one simulated configuration given by flags")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nodes", type=int, dest="m_devices", help="device count")
-    p.add_argument("--scanners", type=int)
-    p.add_argument("--t-share", type=float)
-    p.add_argument("--adv-interval", type=float)
-    p.add_argument("--loss-rate", type=float)
-    p.add_argument("--scan-mode")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--recon-mode", choices=RECON_MODES)
-    p.add_argument("--seed", type=int, help="randomness seed")
-    p.add_argument("--trials", type=int, help="trial count")
+    for key in SETTINGS:  # one flag per config key; --k and --n give the scheme
+        if key != "scheme":
+            p.add_argument("--" + key.replace("_", "-"), type=partial(_setting, key),
+                           required=key in ("k", "n"), dest="m_devices" if key == "nodes" else key)
     p.add_argument("--out", help="results file (default: stdout)")
     p.set_defaults(func=cmd_simulate)
 

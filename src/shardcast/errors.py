@@ -1,6 +1,7 @@
 """Exception types raised across the package."""
 
 import io
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import TextIO, TypeVar
@@ -52,15 +53,18 @@ class ParseError(ShardcastError):
         self.line = line
 
 
-def read_utf8(path: str | None, parse: Callable[[Iterable[str]], _T]) -> _T:
+def read_utf8(path: str | os.PathLike | None, parse: Callable[[Iterable[str]], _T]) -> _T:
     """``parse`` over the lines of ``path`` read as UTF-8 text, or of stdin
-    when ``path`` is None.
+    when ``path`` is None. Any other path, such as an int that ``open`` would
+    take as a file descriptor and close, raises InvalidConfig.
 
     A byte that is not UTF-8 fails the read. Only then does ``parse`` run
     again, over a read that keeps each bad byte as a lone surrogate and
     raises ParseError at the first line holding one, before ``parse`` sees
     that line. So an error ``parse`` finds on an earlier line wins.
     """
+    if not isinstance(path, (str, os.PathLike, type(None))):
+        raise InvalidConfig(f"path {path!r} must be a str or os.PathLike", "path")
     if path is not None:
         def text(errors: str) -> TextIO:
             return open(path, encoding="utf-8", errors=errors)

@@ -276,7 +276,10 @@ def encounter_statistics(
     inside it, so for gap g >= 0
     ``count = pairs + #{d > g}`` and ``duration = count + sum(d <= g)``.
     """
-    gaps = list(gaps)
+    try:
+        gaps = list(gaps)
+    except TypeError:
+        raise InvalidConfig(f"gaps {gaps!r} must be a list of numbers", "max_gap") from None
     for gap in gaps:
         _check_gap(gap)
     log = _as_log(sightings)

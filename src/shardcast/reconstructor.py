@@ -133,8 +133,8 @@ def expected_tries(params: SchemeParams, m: int) -> float:
     an attempt succeeds with probability (m-r) * n^k / pool^k. Validated
     against simulation to within a few percent at the densities used here.
     """
-    if m < 1:
-        raise InvalidParams("need at least one device")
+    if not (isinstance(m, int) and m >= 1):
+        raise InvalidParams(f"need a whole number of devices, at least one, got {m!r}")
     k, n = params.k, params.n
     total = 0.0
     for r in range(m):
@@ -200,7 +200,10 @@ class Reconstructor:
         """Drop pool shares older than max_share_age; returns the count."""
         if self.max_share_age is None:
             return 0
-        cutoff = now - self.max_share_age
+        try:
+            cutoff = now - self.max_share_age
+        except TypeError:  # checked here, where a number costs nothing more
+            raise InvalidConfig(f"now {now!r} must be a number of seconds", "now") from None
         if self._oldest >= cutoff:  # nothing is stale
             return 0
         kept = []

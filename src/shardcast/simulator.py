@@ -373,11 +373,11 @@ def _parse_schemes(text: str) -> list[tuple[int, int]]:
     return out
 
 
-# Text converter for each config key; a converter raises ValueError on text
-# it cannot read. scheme (or k and n) sets params and nodes sets m_devices;
-# every other key sets the SimConfig field of the same name, and SimConfig
-# checks the value.
-_CONVERTERS = {
+# The simulation settings: each config key's text converter, which raises
+# ValueError on text it cannot read. scheme (or k and n) sets params and nodes
+# sets m_devices; every other key sets the SimConfig field of the same name,
+# and SimConfig checks the value. `simulate` takes one flag per key.
+SETTINGS = {
     "scheme": _parse_schemes,
     "k": int,
     "n": int,
@@ -396,6 +396,11 @@ _CONVERTERS = {
 }
 
 
+def bad_value(key: str, text: str) -> str:
+    """The message for text that ``key``'s converter cannot read."""
+    return f"bad value for {key}: {text!r}"
+
+
 def _config_settings(lines: Iterable[str]) -> dict[str, tuple[object, int]]:
     """Each key's last value, converted, and the line that set it.
 
@@ -412,13 +417,13 @@ def _config_settings(lines: Iterable[str]) -> dict[str, tuple[object, int]]:
         key, value = text.split("=", 1)
         key = key.strip().lower()
         value = value.strip()
-        convert = _CONVERTERS.get(key)
+        convert = SETTINGS.get(key)
         if convert is None:
             raise ParseError(lineno, f"unknown config key {key!r}")
         try:
             settings[key] = (convert(value), lineno)
         except ValueError as exc:
-            raise ParseError(lineno, f"bad value for {key}: {value!r}") from exc
+            raise ParseError(lineno, bad_value(key, value)) from exc
     return settings
 
 

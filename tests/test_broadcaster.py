@@ -305,3 +305,16 @@ def test_entry_points_reject_seconds_with_no_finite_tick_count(seconds):
             getattr(device, call)(seconds)
         assert info.value.fields == (field,), call
         assert device.emissions_before(1.0) == make_device().emissions_before(1.0), call
+
+
+@pytest.mark.parametrize("call,field,value", [("start", "start", "5"),
+                                              ("runs_before", "horizon", "5"),
+                                              ("tick", "now", None),
+                                              ("emissions_before", "horizon", "5")])
+def test_entry_points_reject_seconds_that_are_not_a_number(call, field, value):
+    with pytest.raises(InvalidConfig) as info:
+        if call == "start":
+            make_device(start=value)
+        else:
+            getattr(make_device(), call)(value)
+    assert info.value.fields == (field,)

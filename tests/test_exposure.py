@@ -2,8 +2,12 @@
 
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,39 @@ def test_read_empty_inputs(tmp_path):
         read_sightings(str(header_only))
 
 
+# open() takes an int as a file descriptor and closes it when done, so each
+# call runs in a child process, whose stdin and stdout are checked afterwards.
+PATHS_THAT_ARE_NOT_PATHS = """
+import os
+from shardcast.errors import InvalidConfig
+from shardcast.exposure import read_sightings
+from shardcast.simulator import load_sim_configs
+
+for call, path in ((read_sightings, True), (read_sightings, 0), (read_sightings, 1),
+                   (read_sightings, b"log.csv"), (load_sim_configs, 1), (load_sim_configs, 2.5)):
+    try:
+        call(path)
+    except InvalidConfig as exc:
+        assert exc.fields == ("path",), exc.fields
+    else:
+        raise AssertionError(f"{call.__name__}({path!r}) returned")
+os.fstat(0)
+print("stdin and stdout are open")
+"""
+
+
+def test_a_path_must_be_a_str_or_path_like(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", PATHS_THAT_ARE_NOT_PATHS], input="",
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "stdin and stdout are open\n"
+    rows = make_rows(3, count=5)
+    assert read_sightings(Path(write_log(tmp_path / "log.csv", rows))) == \
+        SightingLog.from_sightings(as_sightings(rows))
+
+
 # -- scheme validation ----------------------------------------------------
 
 
@@ -386,6 +423,12 @@ def test_a_gap_must_be_a_number(gap):
     assert info.value.fields == ("max_gap",)
     with pytest.raises(InvalidConfig) as info:
         encounter_statistics(rows, [3, gap])
+    assert info.value.fields == ("max_gap",)
+
+
+def test_gaps_must_be_a_collection():
+    with pytest.raises(InvalidConfig) as info:
+        encounter_statistics(as_sightings(make_rows(2, count=5)), 5)
     assert info.value.fields == ("max_gap",)
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from shardcast.simulator import SETTINGS
+
 REPO = Path(__file__).resolve().parent.parent
 README = (REPO / "README.md").read_text(encoding="utf-8")
 
@@ -62,3 +64,9 @@ def test_command_example_prints_what_is_shown(command, output):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == output
+
+
+def test_config_keys_sentence_lists_the_settings_table():
+    sentence = re.search(r"The keys\s+are ([^.]*)\.", README)
+    assert sentence, "README's config-key sentence is missing"
+    assert re.findall(r"`(\w+)`", sentence.group(1)) == list(SETTINGS)

@@ -18,7 +18,7 @@ import pytest
 import shardcast
 
 from shardcast import kernel
-from shardcast.errors import InvalidConfig
+from shardcast.errors import InvalidConfig, InvalidParams
 from shardcast.gf256 import gf_inv
 from shardcast.identity import Share, identifier_new, identifier_verify
 from shardcast.reconstructor import (
@@ -263,6 +263,9 @@ def test_eviction_by_age_and_readmission():
     assert recon.evict_stale(10.0) == 0  # age 10 is not older than the limit
     assert recon.evict_stale(10.5) == 1
     assert recon.pool_size == 1
+    with pytest.raises(InvalidConfig) as info:
+        recon.evict_stale("12")
+    assert info.value.fields == ("now",)
     # An evicted share heard again is admitted as fresh.
     assert recon.add_share(ReceivedShare(entries[0].share, entries[0].mac_token, 11.0))
     assert recon.pool_size == 2
@@ -313,6 +316,13 @@ def test_expected_tries_budget_model():
     for m in (1, 3, 9):
         budget = default_max_tries(params, m)
         assert budget == 10 * math.ceil(expected_tries(params, m))
+
+
+@pytest.mark.parametrize("m", [0, 2.5, "3", None])
+def test_expected_tries_needs_a_whole_device_count(m):
+    for model in (expected_tries, default_max_tries):
+        with pytest.raises(InvalidParams):
+            model(SchemeParams(3, 5), m)
 
 
 def test_report_line_round_trip():

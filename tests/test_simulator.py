@@ -14,6 +14,7 @@ from shardcast.reconstructor import Reconstructor
 from shardcast.simulator import (
     RESULTS_HEADER,
     SCAN_MODES,
+    SETTINGS,
     SimConfig,
     SweepRow,
     load_sim_configs,
@@ -593,3 +594,66 @@ def test_simconfig_owns_every_default_and_rule(tmp_path, monkeypatch):
         assert info.value.line == 3, key
         if key != "seed":
             assert isinstance(info.value.__cause__, (InvalidConfig, InvalidParams)), key
+
+
+# A value other than the default for every config key but scheme, which
+# simulate takes as --k and --n.
+GOOD_VALUES = {
+    "k": "2",
+    "n": "6",
+    "nodes": "3",
+    "scanners": "2",
+    "t_share": "2.5",
+    "adv_interval": "0.5",
+    "loss_rate": "0.25",
+    "scan_mode": "balanced",
+    "horizon": "30",
+    "seed": "9",
+    "trials": "3",
+    "recon_mode": "arrival",
+    "max_tries": "500",
+    "eviction": "off",
+}
+
+
+def test_every_config_key_is_a_simulate_flag(tmp_path, monkeypatch, capsys):
+    assert list(GOOD_VALUES) == [key for key in SETTINGS if key != "scheme"]
+    built = []
+    monkeypatch.setattr(cli, "sweep", lambda configs: built.extend(configs) or [])
+
+    def config_file(key, text):
+        path = tmp_path / "one.cfg"
+        path.write_text(f"k = 3\nn = 5\nseed = 4\n{key} = {text}\n")
+        return str(path)
+
+    def simulate(key, text):
+        return cli.main(["simulate", "--k", "3", "--n", "5", "--seed", "4",
+                         "--" + key.replace("_", "-"), text])
+
+    default = SimConfig(SchemeParams(3, 5), seed=4)
+    for key, text in GOOD_VALUES.items():
+        assert cli.main(["sweep", "--config", config_file(key, text)]) == 0
+        config = built.pop()
+        assert config != default, key
+        assert simulate(key, text) == 0
+        assert built.pop() == config, key
+
+    # Text the key's converter cannot read: the loader's message both ways,
+    # a ParseError from the file and a usage error from the flag.
+    capsys.readouterr()
+    for key in GOOD_VALUES.keys() - {"scan_mode", "recon_mode"}:
+        message = f"bad value for {key}: 'x'"
+        with pytest.raises(ParseError, match=f"^line 4: {message}$"):
+            load_sim_configs(config_file(key, "x"))
+        with pytest.raises(SystemExit) as info:
+            simulate(key, "x")
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f": {message}\n"), key
+    # Any text converts for scan_mode and recon_mode: SimConfig rejects it,
+    # with one message both ways, and the command exits 1.
+    for key in ("scan_mode", "recon_mode"):
+        with pytest.raises(ParseError) as info:
+            load_sim_configs(config_file(key, "x"))
+        assert simulate(key, "x") == 1
+        assert capsys.readouterr().err == f"error: {info.value.__cause__}\n", key
+        assert str(info.value) == f"line 4: {info.value.__cause__}", key
