@@ -9,7 +9,8 @@ different generations cannot be linked.
 The schedule is arithmetic on the 625 microsecond advertising tick grid:
 a beacon at tick te falls in generation (te - start) // C, for a cycle
 of C = n * t_share ticks, and in slot ((te - start) % C) // t_share of
-it. Seconds only appear at the API boundary, through ``to_ticks``.
+it. Seconds only appear at the API boundary: ``BroadcastConfig.ticks``
+gives the schedule's tick counts, and ``to_ticks`` converts every other time.
 """
 
 from __future__ import annotations
@@ -62,13 +63,19 @@ class BroadcastConfig:
             value = getattr(self, name)
             if abs(value / TICK_S - to_ticks(value, name)) > 1e-6:
                 raise InvalidConfig(f"{name} {value} is not a multiple of {TICK_S} s", name)
-        if not ADV_MIN_S - 1e-9 <= self.adv_interval <= ADV_MAX_S + 1e-9:
+        slot, adv, _ = self.ticks()
+        if not to_ticks(ADV_MIN_S) <= adv <= to_ticks(ADV_MAX_S):
             raise InvalidConfig(
                 f"adv_interval {self.adv_interval} outside [{ADV_MIN_S}, {ADV_MAX_S}] s",
                 "adv_interval",
             )
-        if self.adv_interval > self.t_share + 1e-9:
+        if adv > slot:
             raise InvalidConfig("adv_interval must not exceed t_share", "adv_interval", "t_share")
+
+    def ticks(self) -> tuple[int, int, int]:
+        """(slot, advertising interval, cycle) in whole ticks; a cycle is n slots."""
+        slot = to_ticks(self.t_share)
+        return slot, to_ticks(self.adv_interval), self.params.n * slot
 
 
 class BeaconEmission(NamedTuple):
@@ -118,9 +125,7 @@ class Broadcaster:
         self.identifier = identifier
         self.config = config
         self._rng = rng
-        self._t_share_ticks = to_ticks(config.t_share)
-        self._adv_ticks = to_ticks(config.adv_interval)
-        self._cycle_ticks = config.params.n * self._t_share_ticks
+        self._t_share_ticks, self._adv_ticks, self._cycle_ticks = config.ticks()
         self._start = self._next_emit = to_ticks(start, "start")
         self.generation = -1
         self._regenerate()

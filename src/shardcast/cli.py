@@ -187,8 +187,8 @@ def cmd_simulate(args) -> int:
         args.parser.error(str(exc))
     given = {f.name: value for f in fields(SimConfig)
              if (value := getattr(args, f.name, None)) is not None}
-    given["seed"] = _resolve_seed(args)
-    return _run_configs(args, [SimConfig(params, **given)])
+    config = SimConfig(params, **given)  # checks every flag before a seed is drawn
+    return _run_configs(args, [replace(config, seed=_resolve_seed(args))])
 
 
 def cmd_sweep(args) -> int:
@@ -233,8 +233,8 @@ def cmd_encounters(args) -> int:
 
 
 def _setting(key: str, text: str):
-    """A simulate flag's value, read by its config key's converter. simulate
-    takes one device count, where a config file's nodes is a list."""
+    """A simulate or sweep flag's value, read by its config key's converter.
+    simulate takes one device count, where a config file's nodes is a list."""
     try:
         return (int if key == "nodes" else SETTINGS[key])(text)
     except ValueError:
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--random", action="store_true", help="generate a fresh self-verifying identifier"
     )
     p.add_argument("--seed", type=int, help="deterministic randomness seed")
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, parser=p)
 
     p = subs.add_parser("recover", help="recover a secret from id:bodyhex share lines")
     p.add_argument("--input", help="share file (default: stdin)")
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check", action="store_true", help="require the result to pass checksum verification"
     )
-    p.set_defaults(func=cmd_recover)
+    p.set_defaults(func=cmd_recover, parser=p)
 
     p = subs.add_parser("encode", help="encode one share as a beacon frame")
     p.add_argument("--share-id", type=int, required=True)
@@ -274,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mfg-id", type=_int_any_base, default=DEFAULT_MFG_ID)
     p.add_argument("--ref-rssi", type=int, default=DEFAULT_REF_RSSI)
     p.add_argument("--reserved", type=_int_any_base, default=0)
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_encode, parser=p)
 
     p = subs.add_parser("decode", help="decode a beacon frame")
     p.add_argument("frame", nargs="?", help="26-byte frame as hex (default: stdin)")
-    p.set_defaults(func=cmd_decode)
+    p.set_defaults(func=cmd_decode, parser=p)
 
     p = subs.add_parser("simulate", help="run one simulated configuration given by flags")
     for key in SETTINGS:  # one flag per config key; --k and --n give the scheme
@@ -286,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), type=partial(_setting, key),
                            required=key in ("k", "n"), dest="m_devices" if key == "nodes" else key)
     p.add_argument("--out", help="results file (default: stdout)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = subs.add_parser("sweep", help="run every configuration of a config file")
     p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--trials", type=int, help="override the trial count")
+    p.add_argument("--seed", type=partial(_setting, "seed"), help="override the config seed")
+    p.add_argument("--trials", type=partial(_setting, "trials"), help="override the trial count")
     p.add_argument("--out", help="results file (default: stdout)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = subs.add_parser("analyze", help="exposure report for a sighting log")
     p.add_argument("--input", required=True, help="sighting log file")
@@ -308,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="window anchor: shared grid (default) or each device's first sighting",
     )
     p.add_argument("--out", help="report file (default: stdout)")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, parser=p)
 
     p = subs.add_parser("encounters", help="encounter statistics for a sighting log")
     p.add_argument("--input", required=True, help="sighting log file")
     p.add_argument("--gaps", default="1,3,30,60", help="max gaps, comma list of seconds")
     p.add_argument("--out", help="report file (default: stdout)")
-    p.set_defaults(func=cmd_encounters)
+    p.set_defaults(func=cmd_encounters, parser=p)
 
     return parser
 
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.parser = parser
     try:
         return args.func(args)
     except BrokenPipeError:  # an OSError: caught first, and silent

@@ -184,7 +184,7 @@ class Reconstructor:
                                 "max_share_age")
         self.params = params
         self.max_tries = max_tries
-        self.max_share_age = max_share_age
+        self.max_share_age = math.inf if max_share_age is None else max_share_age
         self._rng = rng
         self._pool: list[ReceivedShare] = []
         self._oldest = math.inf  # smallest received_at in the pool
@@ -198,8 +198,6 @@ class Reconstructor:
 
     def evict_stale(self, now: float) -> int:
         """Drop pool shares older than max_share_age; returns the count."""
-        if self.max_share_age is None:
-            return 0
         try:
             cutoff = now - self.max_share_age
         except TypeError:  # checked here, where a number costs nothing more

@@ -42,10 +42,13 @@ def split(secret: bytes, params: SchemeParams, rng: RandomSource) -> list[tuple[
 def recover(shares: Iterable[tuple[int, bytes]] | Sequence[tuple[int, bytes]], k: int) -> bytes:
     """Interpolate exactly k shares back into the secret.
 
-    Raises WrongShareCount unless exactly k shares (at least one) are supplied,
-    DuplicateShareId on repeated ids, InvalidParams on ids outside 1..255,
-    and LengthMismatch on unequal body lengths.
+    Raises InvalidParams when k is not an int, WrongShareCount unless exactly
+    k shares (at least one) are supplied, DuplicateShareId on repeated ids,
+    InvalidParams on ids outside 1..255, and LengthMismatch on unequal body
+    lengths.
     """
+    if not isinstance(k, int):
+        raise InvalidParams(f"k {k!r} must be an integer")
     items = list(shares)
     if not items:
         raise WrongShareCount("no shares given")

@@ -139,13 +139,13 @@ class SimResult:
 
 def run_simulation(config: SimConfig) -> SimResult:
     rng = RandomSource(config.seed)
-    m, n, k = config.m_devices, config.params.n, config.params.k
+    m, k = config.m_devices, config.params.k
     horizon = config.effective_horizon
     bcast = config.broadcast_config()
-    t_share_ticks = to_ticks(config.t_share)
+    slot_ticks, adv_ticks, cycle_ticks = bcast.ticks()
 
-    device_seeds = [rng.getrandbits(48) for _ in range(m)]
-    device_phases = [rng.randrange(t_share_ticks) * TICK_S for _ in range(m)]
+    device_rngs = [rng.derive() for _ in range(m)]
+    device_phases = [rng.randrange(slot_ticks) * TICK_S for _ in range(m)]
 
     window_s, interval_s = scan_window_params(config.scan_mode)
     window_ticks, interval_ticks = to_ticks(window_s), to_ticks(interval_s)
@@ -163,9 +163,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     events: list[tuple[int, int, BeaconRun | None]] = []  # (tick, device, run)
     origin: dict[tuple[str, int, bytes], tuple[int, int]] = {}
     slot_instances = 0
-    adv_ticks = to_ticks(config.adv_interval)
-    for dev in range(m):
-        dev_rng = RandomSource(device_seeds[dev])
+    for dev, dev_rng in enumerate(device_rngs):
         identifier = identifier_new(dev_rng)
         identifiers.append(identifier)
         device = Broadcaster(identifier, bcast, dev_rng, start=device_phases[dev])
@@ -181,7 +179,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     if not arrival:
         # One (tick, -1, None) event per cycle boundary and one at the
         # horizon: a sweep sorts before the receptions of its own tick.
-        cycle_ticks, horizon_ticks = to_ticks(n * config.t_share), to_ticks(horizon)
+        horizon_ticks = to_ticks(horizon)
         events.extend((tick, -1, None) for tick in range(cycle_ticks, horizon_ticks, cycle_ticks))
         events.append((horizon_ticks, -1, None))
     events.sort()  # (tick, device) is unique, so runs are never compared
@@ -214,10 +212,8 @@ def run_simulation(config: SimConfig) -> SimResult:
         if len(sources) != 1:
             spurious += 1
             return
+        # k shares of one (device, generation) interpolate to its identifier.
         ((dev, _gen),) = sources
-        if identifiers[dev] != hit.identifier:
-            spurious += 1
-            return
         resolved.setdefault((scanner, dev), hit.completed_at)
 
     def sweep_cycle(scanner: int, at: float) -> None:
@@ -243,7 +239,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     # its eviction waits for the next reader of the pool: an admission, a
     # cycle sweep, or the catch-up after the loop. Eviction only grows with
     # time, so each reader sees the pool that evicting on every beacon leaves.
-    age = config.eviction_age()
+    age = recons[0].max_share_age  # math.inf when eviction is off
     heard_at = [-math.inf] * config.scanners  # the last repeat
     # Per scanner, by device: the run last admitted, and when.
     scanners = [
@@ -257,7 +253,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             for s in range(config.scanners):
                 sweep_cycle(s, now)
             continue
-        cutoff = -math.inf if age is None else now - age  # as evict_stale(now) has it
+        cutoff = now - age  # as evict_stale(now) has it
         entry = None  # one immutable entry per admitted emission, shared by its scanners
         for s, phase, recon, held, held_at in scanners:
             if not continuous and (tick - phase) % interval_ticks >= window_ticks:

@@ -274,6 +274,39 @@ def test_simulate_requires_scheme_or_config(capsys):
         assert message in captured.err
 
 
+def test_simulate_checks_its_flags_before_echoing_a_seed(capsys):
+    # No --seed: a rejected flag still writes exactly one error line.
+    assert main(["simulate", "--k", "3", "--n", "5", "--loss-rate", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: loss_rate 2.0 must lie in [0, 1)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--k", "4", "--n", "3", "--secret-hex", SECRET],
+    ["split", "--k", "2", "--n", "3", "--secret-hex", "zz"],
+    ["recover", "--k", "0"],
+    ["simulate", "--k", "6", "--n", "5"],
+    ["analyze", "--input", str(TRACE), "--k", "3", "--n", "5", "--t", "1", "--gaps", "x"],
+    ["encounters", "--input", str(TRACE), "--gaps", "-1"],
+])
+def test_handler_usage_errors_print_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: shardcast {argv[0]} ")
+
+
+@pytest.mark.parametrize("key", ["seed", "trials"])
+def test_sweep_overrides_use_the_settings_converters(key, capsys):
+    argv = ["sweep", "--config", str(TABLE_CFG), "--" + key]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "x"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(f": bad value for {key}: 'x'\n")
+    assert getattr(cli.build_parser().parse_args([*argv, "7"]), key) == 7
+
+
 def test_sweep_bundled_config(capsys):
     argv = ["sweep", "--config", str(TABLE_CFG), "--trials", "1"]
     assert main(argv) == 0

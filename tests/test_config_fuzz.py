@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shardcast.broadcaster import TICK_S, to_ticks
+from shardcast.broadcaster import TICK_S, BroadcastConfig, to_ticks
 from shardcast.errors import ParseError, ShardcastError
 from shardcast.shamir import SchemeParams
 from shardcast.simulator import SimConfig, load_sim_configs, scan_window_params
@@ -179,3 +179,28 @@ def test_random_scan_modes(seed):
         assert SimConfig(SchemeParams(3, 5), scan_mode=mode).scan_mode == mode
         accepted += 1
     assert 100 < accepted < len(modes) - 100, accepted
+
+
+def test_the_cycle_is_n_whole_slots():
+    """Every BroadcastConfig the value grid makes has a cycle of n slots that
+    agrees with the tick count of n * t_share seconds."""
+    seconds = []
+    for text in VALUES:
+        try:
+            seconds.append(float(text))
+        except ValueError:
+            pass
+    schemes = [(2, 2), (2, 5), (3, 5), (5, 6), (6, 7), (2, 255), (255, 255)]
+    accepted = 0
+    for k, n in schemes:
+        for t_share in seconds:
+            for adv_interval in seconds:
+                try:
+                    config = BroadcastConfig(SchemeParams(k, n), t_share, adv_interval)
+                except ShardcastError:
+                    continue
+                slot, adv, cycle = config.ticks()
+                assert (slot, adv) == (to_ticks(t_share), to_ticks(adv_interval))
+                assert cycle == n * slot == to_ticks(n * t_share), (n, t_share, adv_interval)
+                accepted += 1
+    assert accepted > 50, accepted

@@ -253,6 +253,19 @@ def test_options_are_keyword_only():
         Reconstructor(SchemeParams(3, 5), RandomSource(1), 10)
 
 
+def test_an_observer_that_never_evicts_still_checks_now():
+    params = SchemeParams(3, 5)
+    _, entries = device_shares(RandomSource(58), params, "aa:aa:aa:aa:aa:aa")
+    recon = Reconstructor(params, RandomSource(8))
+    assert recon.max_share_age == math.inf  # max_share_age=None: never evict
+    recon.add_share(entries[0])
+    assert recon.evict_stale(1e9) == 0
+    assert recon.pool_size == 1
+    with pytest.raises(InvalidConfig) as info:
+        recon.evict_stale("5")
+    assert info.value.fields == ("now",)
+
+
 def test_eviction_by_age_and_readmission():
     params = SchemeParams(3, 5)
     rng = RandomSource(58)

@@ -123,6 +123,14 @@ def test_recover_error_paths():
         recover([shares[0], shares[1], (5, b"short")], 3)
 
 
+def test_recover_needs_an_integer_threshold():
+    shares = split(b"x" * 16, SchemeParams(2, 3), RandomSource(4))
+    for call in (lambda: recover([(1, b"ab")], "1"), lambda: recover(shares[:2], 2.0),
+                 lambda: recover(shares[:2], None)):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            call()
+
+
 def test_wrong_subset_size_vs_threshold():
     # k-1 shares interpolate to *something*, but recover refuses the count.
     rng = RandomSource(13)
