@@ -211,7 +211,7 @@ def _parse_gaps(text: str, parser) -> list[int]:
 
 
 def cmd_analyze(args) -> int:
-    gaps = _parse_gaps(args.gaps, args.parser) if args.gaps else None
+    gaps = _parse_gaps(args.gaps, args.parser) if args.gaps is not None else None
     scheme = ExposureScheme(args.k, args.n, args.t)
     with _output(args.out) as out:
         sightings = read_sightings(args.input)

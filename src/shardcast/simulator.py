@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Iterable, TextIO
@@ -86,8 +87,9 @@ class SimConfig:
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 1):
                 raise InvalidConfig(f"{name} {value!r} must be an integer of at least 1", name)
-        if not isinstance(self.seed, int):  # trial i runs at seed + i
-            raise InvalidConfig(f"seed {self.seed!r} must be an integer", "seed")
+        # Trial i runs at seed + i, and Random(-s) draws what Random(s) does.
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise InvalidConfig(f"seed {self.seed!r} must be an integer of at least 0", "seed")
         if not (isinstance(self.loss_rate, (int, float)) and 0.0 <= self.loss_rate < 1.0):
             raise InvalidConfig(f"loss_rate {self.loss_rate!r} must lie in [0, 1)", "loss_rate")
         if self.recon_mode not in RECON_MODES:
@@ -155,13 +157,10 @@ def run_simulation(config: SimConfig) -> SimResult:
     ]
     recon_rngs = [rng.derive() for _ in range(config.scanners)]
 
-    # Ground truth: a reverse map from the dedup key of every share on air
-    # to its (device, generation), and the count of slots that aired: one
-    # runs_before call gives one run per slot. One event per beacon; a
-    # beacon's run carries its share.
+    # One run per slot that aired, and one event per beacon; a beacon's run
+    # carries its share, its device's generation and its address.
     identifiers: list[bytes] = []
     events: list[tuple[int, int, BeaconRun | None]] = []  # (tick, device, run)
-    origin: dict[tuple[str, int, bytes], tuple[int, int]] = {}
     slot_instances = 0
     for dev, dev_rng in enumerate(device_rngs):
         identifier = identifier_new(dev_rng)
@@ -170,8 +169,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         runs = device.runs_before(horizon)  # every slot airs one share
         slot_instances += len(runs)
         for run in runs:
-            share = run.share
-            origin.setdefault((run.mac_token, share.share_id, share.body), (dev, run.generation))
             events.extend(zip(range(run.first_tick, run.end_tick, adv_ticks),
                               repeat(dev), repeat(run)))
     emitted = len(events)
@@ -198,40 +195,41 @@ def run_simulation(config: SimConfig) -> SimResult:
     ]
 
     received = [0] * config.scanners
-    slots_hit: list[set] = [set() for _ in range(config.scanners)]
+    # Ground truth, per scanner: the (device, generation) that aired each
+    # share it admitted, by the share's dedup key. The address rotates every
+    # generation and a body is random, so a key names one slot of one device.
+    admitted: list[dict[tuple[str, int, bytes], tuple[int, int]]] = [
+        {} for _ in range(config.scanners)
+    ]
     first_audible: dict[tuple[int, int], float] = {}
     resolved: dict[tuple[int, int], float] = {}
     spurious = 0
     loss = config.loss_rate
 
-    def note_recovery(scanner: int, hit) -> None:
+    def note_recovery(scanner: int, hit) -> list[tuple[int, int]]:
+        """Resolve or count the hit; returns the source of each of its shares."""
         nonlocal spurious
-        # Every pool entry was admitted from a run in origin: a missing key
-        # is a fault of the simulator, not a spurious recovery.
-        sources = {origin[entry.key] for entry in hit.sources}
-        if len(sources) != 1:
+        # The scanner admitted every pool entry: a missing key is a fault of
+        # the simulator, not a spurious recovery.
+        sources = [admitted[scanner][entry.key] for entry in hit.sources]
+        if len(set(sources)) != 1:
             spurious += 1
-            return
-        # k shares of one (device, generation) interpolate to its identifier.
-        ((dev, _gen),) = sources
-        resolved.setdefault((scanner, dev), hit.completed_at)
+        else:  # k shares of one (device, generation) interpolate to its identifier.
+            resolved.setdefault((scanner, sources[0][0]), hit.completed_at)
+        return sources
 
     def sweep_cycle(scanner: int, at: float) -> None:
         recon = recons[scanner]
         recon.evict_stale(at)
-        while True:
-            # The pool holds one entry per key, so the entries of one
-            # (device, generation) carry distinct share ids.
-            counts: dict[tuple[int, int], int] = {}
-            for entry in recon.pool_entries():
-                source = origin[entry.key]
-                counts[source] = counts.get(source, 0) + 1
-            if max(counts.values(), default=0) < k:
-                break
+        # The pool holds one entry per key, so the entries of one (device,
+        # generation) carry distinct share ids. Only a hit changes the pool
+        # during a sweep, by removing its sources.
+        counts = Counter(admitted[scanner][entry.key] for entry in recon.pool_entries())
+        while max(counts.values(), default=0) >= k:
             hit = recon.run(at)  # budget: the config's max_tries; none when it is None
             if hit is None:
                 break
-            note_recovery(scanner, hit)
+            counts.subtract(note_recovery(scanner, hit))
 
     # A reception of the run a scanner last admitted from a device, while
     # that admission is not stale, is a repeat: the pool holds its share, or
@@ -271,7 +269,7 @@ def run_simulation(config: SimConfig) -> SimResult:
                 continue  # this scanner admitted the same key earlier and noted it then
             held[dev] = run
             held_at[dev] = now
-            slots_hit[s].add((dev, run.generation, run.share.share_id))
+            admitted[s][entry.key] = (dev, run.generation)
             first_audible.setdefault((s, dev), now)
             if arrival:
                 hit = recon.run(now)
@@ -296,7 +294,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         emitted=emitted,
         received=received,
         slot_instances=slot_instances,
-        slots_received=[len(s) for s in slots_hit],
+        slots_received=[len(a) for a in admitted],
         identifiers=identifiers,
         resolved_devices=resolved_devices,
     )

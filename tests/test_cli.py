@@ -297,6 +297,19 @@ def test_handler_usage_errors_print_the_subcommand_usage(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: shardcast {argv[0]} ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "3", "--n", "5", "--seed", "-1"],
+    ["sweep", "--config", str(TABLE_CFG), "--seed", "-1"],
+])
+def test_simulations_reject_a_negative_seed(argv, capsys):
+    # Trial i runs at seed + i, and a negative seed draws the stream of its
+    # absolute value, so trials would repeat each other.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed -1 must be an integer of at least 0\n"
+
+
 @pytest.mark.parametrize("key", ["seed", "trials"])
 def test_sweep_overrides_use_the_settings_converters(key, capsys):
     argv = ["sweep", "--config", str(TABLE_CFG), "--" + key]
@@ -491,6 +504,16 @@ def test_analyze_without_gaps_prints_exposure_only(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("t\tk\tn")
+
+
+def test_analyze_rejects_empty_gaps(capsys):
+    # An empty --gaps is a list with no gap in it, not an absent flag.
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--input", str(TRACE), "--k", "5", "--n", "6", "--t", "1",
+              "--gaps", ""])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--gaps must not be empty" in captured.err
 
 
 def test_analyze_device_alignment_runs(capsys):

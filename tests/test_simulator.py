@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -122,6 +123,14 @@ def test_settings_of_the_wrong_type_are_invalid(name, value):
     with pytest.raises(InvalidConfig) as info:
         SimConfig(**settings)
     assert info.value.fields == (name,)
+
+
+def test_seed_must_not_be_negative():
+    # Random(-s) draws what Random(s) draws, and trial i runs at seed + i, so
+    # trials -2..2 would run seeds 2 and 1 twice each.
+    with pytest.raises(InvalidConfig) as info:
+        SimConfig(SchemeParams(3, 5), seed=-1)
+    assert info.value.fields == ("seed",)
 
 
 def test_effective_horizon_default_is_one_cycle():
@@ -289,6 +298,28 @@ def test_cycle_sweep_sees_only_earlier_receptions(monkeypatch):
         run_simulation(SimConfig(SchemeParams(2, 3), m_devices=2, t_share=0.02,
                                  adv_interval=0.02, horizon=0.5, seed=seed))
     assert late == []
+
+
+def test_cycle_runs_start_only_on_a_pool_that_holds_k_shares_of_one_source(monkeypatch):
+    # A cycle-mode run starts only when some (device, generation) holds k
+    # shares in the pool. A device airs one address per generation, and the
+    # pool holds one entry per key, so the pool's addresses count sources.
+    starts = []
+    run = Reconstructor.run
+
+    def checked_run(recon, now, budget=None):
+        counts = Counter(entry.mac_token for entry in recon.pool_entries())
+        starts.append(max(counts.values(), default=0) >= recon.params.k)
+        return run(recon, now, budget)
+
+    monkeypatch.setattr(Reconstructor, "run", checked_run)
+    for loss, eviction, mode, seed in itertools.product(
+        (0.0, 0.3), ("auto", "off", 0.25), ("continuous", "balanced"), range(3)
+    ):
+        run_simulation(SimConfig(SchemeParams(3, 4), m_devices=3, scanners=2, t_share=0.5,
+                                 adv_interval=0.1, loss_rate=loss, scan_mode=mode,
+                                 horizon=9.0, seed=seed, eviction=eviction))
+    assert len(starts) > 100 and all(starts)
 
 
 # -- attempt-count statistics --------------------------------------------
@@ -504,6 +535,7 @@ def test_load_config_single_scheme_keys(tmp_path):
         ("k = 6\nn = 5\n", 2),
         ("scheme = 3:5\nk = 4\nn = 6\n", 3),  # the scheme named both ways
         ("k = 4\nscheme = 3:5\nseed = 2\n", 2),
+        ("scheme = 3:5\nseed = -1\ntrials = 5\n", 2),
         ("scheme = 3:5\neviction = -5\n", 2),
         ("scheme = 3:5\neviction = nan\n", 2),
         ("scheme = 3:5\nscan_mode = custom:1:inf\n", 2),
