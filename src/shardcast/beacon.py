@@ -53,18 +53,30 @@ def encode_frame(
 ) -> bytes:
     """Serialize one share into the 26-byte manufacturer data block.
 
-    Raises BadShareId on a share id outside 1..255, and InvalidConfig when
-    mfg_id, ref_rssi or mfg_reserved does not fit its field.
+    Raises BadShareId on a share id that is not an int in 1..255, and
+    InvalidConfig when mfg_id, ref_rssi or mfg_reserved is not an int that
+    fits its field.
     """
-    if not 1 <= share.share_id <= 255:
-        raise BadShareId(f"share id {share.share_id} outside 1..255")
-    if not -128 <= ref_rssi <= 127:
-        raise InvalidConfig(f"ref_rssi {ref_rssi} outside a signed byte", "ref_rssi")
-    if not 0 <= mfg_id <= 0xFFFF:
-        raise InvalidConfig(f"mfg_id {mfg_id} outside 0..0xffff", "mfg_id")
-    if not 0 <= mfg_reserved <= 0xFF:
-        raise InvalidConfig(f"mfg_reserved {mfg_reserved} outside 0..255", "mfg_reserved")
-    return _pack(mfg_id, _CODE, share.share_id, share.body, ref_rssi, mfg_reserved)
+    try:
+        if not 1 <= share.share_id <= 255:
+            raise BadShareId(f"share id {share.share_id} outside 1..255")
+        if not -128 <= ref_rssi <= 127:
+            raise InvalidConfig(f"ref_rssi {ref_rssi} outside a signed byte", "ref_rssi")
+        if not 0 <= mfg_id <= 0xFFFF:
+            raise InvalidConfig(f"mfg_id {mfg_id} outside 0..0xffff", "mfg_id")
+        if not 0 <= mfg_reserved <= 0xFF:
+            raise InvalidConfig(f"mfg_reserved {mfg_reserved} outside 0..255", "mfg_reserved")
+        return _pack(mfg_id, _CODE, share.share_id, share.body, ref_rssi, mfg_reserved)
+    except (TypeError, struct.error):
+        # A value that is not an int: it cannot be compared, or struct
+        # refuses it. Named here, so a good frame pays for no type test.
+        if not isinstance(share.share_id, int):
+            raise BadShareId(f"share id {share.share_id!r} is not an integer") from None
+        for name, value in (("ref_rssi", ref_rssi), ("mfg_id", mfg_id),
+                            ("mfg_reserved", mfg_reserved)):
+            if not isinstance(value, int):
+                raise InvalidConfig(f"{name} {value!r} is not an integer", name) from None
+        raise
 
 
 def decode_frame(frame: bytes) -> BeaconFrame:

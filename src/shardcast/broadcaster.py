@@ -42,6 +42,12 @@ def to_ticks(seconds: float, name: str = "seconds") -> int:
         raise InvalidConfig(f"{name} {seconds!r} must be a number of seconds", name) from None
 
 
+def _check_on_grid(seconds: float, name: str) -> None:
+    """``InvalidConfig`` naming ``name`` unless ``seconds`` is a whole, finite tick count."""
+    if abs(seconds / TICK_S - to_ticks(seconds, name)) > 1e-6:
+        raise InvalidConfig(f"{name} {seconds} is not a multiple of {TICK_S} s", name)
+
+
 @dataclass(frozen=True)
 class BroadcastConfig:
     params: SchemeParams
@@ -55,14 +61,21 @@ class BroadcastConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)):
                 raise InvalidConfig(f"{name} {value!r} must be a number of seconds", name)
-        # A cycle, n slots of t_share, needs a positive, finite tick count.
-        if to_ticks(self.params.n * self.t_share, "t_share") < 1:
-            raise InvalidConfig(f"t_share {self.t_share} is not positive", "t_share")
-        # Every layer counts slots and advertising in whole ticks.
-        for name in ("t_share", "adv_interval"):
-            value = getattr(self, name)
-            if abs(value / TICK_S - to_ticks(value, name)) > 1e-6:
-                raise InvalidConfig(f"{name} {value} is not a multiple of {TICK_S} s", name)
+        # Every layer counts slots and advertising in whole ticks. t_share's
+        # checks all come first, so a config with two bad values blames it.
+        _check_on_grid(self.t_share, "t_share")
+        # A cycle is n slots; eviction_age() counts it in seconds, so n *
+        # t_share needs a finite tick count too.
+        n = self.params.n
+        try:
+            cycle = to_ticks(n * self.t_share)
+        except InvalidConfig:
+            raise InvalidConfig(f"a cycle of {n} slots of {self.t_share} s has no finite tick "
+                                "count", "t_share") from None
+        if cycle < 1:
+            raise InvalidConfig(f"t_share {self.t_share} s is less than one {TICK_S} s tick",
+                                "t_share")
+        _check_on_grid(self.adv_interval, "adv_interval")
         slot, adv, _ = self.ticks()
         if not to_ticks(ADV_MIN_S) <= adv <= to_ticks(ADV_MAX_S):
             raise InvalidConfig(
@@ -96,11 +109,9 @@ class BeaconRun(NamedTuple):
     generation: int
 
 
-# Build a BeaconEmission or a BeaconRun from a tuple of its fields in C; a
-# NamedTuple's own __new__ is a Python function, and the schedule makes one
-# per beacon or run.
+# Build a BeaconEmission from a tuple of its fields in C; a NamedTuple's own
+# __new__ is a Python function, and tick() makes one per beacon.
 _new_emission = partial(tuple.__new__, BeaconEmission)
-_new_run = partial(tuple.__new__, BeaconRun)
 
 
 def _mac_token(rng: RandomSource) -> str:
@@ -157,7 +168,7 @@ class Broadcaster:
                 self._regenerate()
             i = offset // slot
             end = min(te - offset + (i + 1) * slot, limit + 1)
-            append(_new_run((te, end, self._order[i], self.mac_token, generation)))
+            append(BeaconRun(te, end, self._order[i], self.mac_token, generation))
             te += (end - te + adv - 1) // adv * adv  # the first beacon at or after end
         self._next_emit = te
         return out

@@ -204,6 +204,8 @@ class Reconstructor:
             raise InvalidConfig(f"now {now!r} must be a number of seconds", "now") from None
         if self._oldest >= cutoff:  # nothing is stale
             return 0
+        if now != now:  # NaN: it fails every comparison, so the shortcut never takes it
+            raise InvalidConfig(f"now {now!r} must be a number of seconds", "now")
         kept = []
         oldest = math.inf
         for entry in self._pool:
@@ -225,6 +227,9 @@ class Reconstructor:
         key = (entry.mac_token, share.share_id, share.body)
         if key in self._seen:
             return False
+        if entry.received_at != entry.received_at:  # NaN: never stale, never evicted
+            raise InvalidConfig(f"received_at {entry.received_at!r} must be a number of seconds",
+                                "received_at")
         self._seen.add(key)
         self._pool.append(entry)
         if entry.received_at < self._oldest:

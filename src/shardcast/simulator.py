@@ -75,7 +75,7 @@ class SimConfig:
     adv_interval: float = 1.0
     loss_rate: float = 0.0
     scan_mode: str = "continuous"
-    horizon: float | None = None  # None: one cycle, n * t_share
+    horizon: float | None = None  # None: one cycle of n slots
     seed: int = 0
     trials: int = 1
     recon_mode: str = "cycle"  # or "arrival"
@@ -105,14 +105,17 @@ class SimConfig:
         ):
             raise InvalidConfig("eviction must be auto, off, or finite seconds >= 0", "eviction")
         self.broadcast_config()  # the advertising rules
-        to_ticks(self.effective_horizon, "horizon")  # a finite tick count
-
-    @property
-    def effective_horizon(self) -> float:
-        return self.params.n * self.t_share if self.horizon is None else self.horizon
+        self.ticks()  # a finite horizon tick count
 
     def broadcast_config(self) -> BroadcastConfig:
         return BroadcastConfig(self.params, self.t_share, self.adv_interval)
+
+    def ticks(self) -> tuple[int, int, int]:
+        """(horizon, scan window, scan interval) in whole ticks; no horizon is one cycle."""
+        window, interval = scan_window_params(self.scan_mode)
+        if self.horizon is None:
+            return self.broadcast_config().ticks()[2], to_ticks(window), to_ticks(interval)
+        return to_ticks(self.horizon, "horizon"), to_ticks(window), to_ticks(interval)
 
     def eviction_age(self) -> float | None:
         if self.eviction == "off":
@@ -142,15 +145,13 @@ class SimResult:
 def run_simulation(config: SimConfig) -> SimResult:
     rng = RandomSource(config.seed)
     m, k = config.m_devices, config.params.k
-    horizon = config.effective_horizon
     bcast = config.broadcast_config()
     slot_ticks, adv_ticks, cycle_ticks = bcast.ticks()
+    horizon_ticks, window_ticks, interval_ticks = config.ticks()
 
     device_rngs = [rng.derive() for _ in range(m)]
     device_phases = [rng.randrange(slot_ticks) * TICK_S for _ in range(m)]
 
-    window_s, interval_s = scan_window_params(config.scan_mode)
-    window_ticks, interval_ticks = to_ticks(window_s), to_ticks(interval_s)
     continuous = window_ticks >= interval_ticks
     scanner_phases = [
         0 if continuous else rng.randrange(interval_ticks) for _ in range(config.scanners)
@@ -166,7 +167,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         identifier = identifier_new(dev_rng)
         identifiers.append(identifier)
         device = Broadcaster(identifier, bcast, dev_rng, start=device_phases[dev])
-        runs = device.runs_before(horizon)  # every slot airs one share
+        runs = device._runs(horizon_ticks - 1)  # before the horizon; one run per slot
         slot_instances += len(runs)
         for run in runs:
             events.extend(zip(range(run.first_tick, run.end_tick, adv_ticks),
@@ -176,7 +177,6 @@ def run_simulation(config: SimConfig) -> SimResult:
     if not arrival:
         # One (tick, -1, None) event per cycle boundary and one at the
         # horizon: a sweep sorts before the receptions of its own tick.
-        horizon_ticks = to_ticks(horizon)
         events.extend((tick, -1, None) for tick in range(cycle_ticks, horizon_ticks, cycle_ticks))
         events.append((horizon_ticks, -1, None))
     events.sort()  # (tick, device) is unique, so runs are never compared

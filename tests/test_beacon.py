@@ -100,11 +100,22 @@ def test_ref_rssi_range_error_is_typed():
 
 
 @pytest.mark.parametrize("field, value", [("mfg_id", -1), ("mfg_id", 0x10000),
-                                          ("mfg_reserved", -1), ("mfg_reserved", 256)])
+                                          ("mfg_reserved", -1), ("mfg_reserved", 256),
+                                          # Not an int: struct.error or a bare TypeError
+                                          # escaped these.
+                                          ("mfg_id", 1.5), ("mfg_id", "5"), ("ref_rssi", 1.5),
+                                          ("mfg_reserved", 2.5), ("ref_rssi", None)])
 def test_header_field_range_errors_are_typed(field, value):
     with pytest.raises(InvalidConfig) as info:
         encode_frame(Share(1, bytes(16)), **{field: value})
     assert info.value.fields == (field,)
+
+
+@pytest.mark.parametrize("share_id", [1.0, "5", None])
+def test_share_ids_that_are_not_integers_are_typed(share_id):
+    # 1.0 raised struct.error, and "5" and None a bare TypeError.
+    with pytest.raises(BadShareId):
+        encode_frame(Share(share_id, bytes(16)))
 
 
 def test_share_id_zero_rejected_both_ways():

@@ -66,6 +66,22 @@ def test_cycle_must_have_a_finite_tick_count():
     assert info.value.fields == ("t_share",)
 
 
+@pytest.mark.parametrize(
+    "n, t_share, message",
+    [(3, 0.0001, "t_share 0.0001 is not a multiple of 0.000625 s"),
+     (255, 1e306, "t_share 1e+306 s has no finite tick count"),
+     (5, 1e307, "t_share 1e+307 s has no finite tick count"),
+     (255, 1e305, "a cycle of 255 slots of 1e+305 s has no finite tick count"),
+     (5, 1e-320, "t_share 1e-320 s is less than one 0.000625 s tick")],
+)
+def test_a_bad_t_share_is_named_as_given(n, t_share, message):
+    # The cycle check ran first, and named n * t_share or called 0.0001 not positive.
+    with pytest.raises(InvalidConfig) as info:
+        BroadcastConfig(SchemeParams(3, n), t_share=t_share)
+    assert str(info.value) == message
+    assert info.value.fields == ("t_share",)
+
+
 @pytest.mark.parametrize("length", [15, 17])
 def test_identifier_length_is_checked_at_construction(length):
     config = BroadcastConfig(SchemeParams(3, 5))

@@ -136,8 +136,8 @@ def test_load_mutated_table_configs(seed, tmp_path):
             outcomes["rejected"] += 1
             continue
         assert configs and all(type(c) is SimConfig for c in configs), text
-        for config in configs:  # every horizon the simulator would round to ticks
-            to_ticks(config.effective_horizon)
+        for config in configs:  # every horizon and scan window the simulator rounds
+            config.ticks()
         outcomes["loaded"] += 1
     assert min(outcomes.values()) > 50, outcomes
 
@@ -181,26 +181,47 @@ def test_random_scan_modes(seed):
     assert 100 < accepted < len(modes) - 100, accepted
 
 
-def test_the_cycle_is_n_whole_slots():
-    """Every BroadcastConfig the value grid makes has a cycle of n slots that
-    agrees with the tick count of n * t_share seconds."""
+def grid_configs(make, texts):
+    """(n, t_share, adv_interval, config) for every config that ``make(params,
+    t_share, adv_interval)`` accepts over seven schemes and the numbers in texts."""
     seconds = []
-    for text in VALUES:
+    for text in dict.fromkeys(texts):
         try:
             seconds.append(float(text))
         except ValueError:
             pass
-    schemes = [(2, 2), (2, 5), (3, 5), (5, 6), (6, 7), (2, 255), (255, 255)]
-    accepted = 0
-    for k, n in schemes:
+    for k, n in [(2, 2), (2, 5), (3, 5), (5, 6), (6, 7), (2, 255), (255, 255)]:
         for t_share in seconds:
             for adv_interval in seconds:
                 try:
-                    config = BroadcastConfig(SchemeParams(k, n), t_share, adv_interval)
+                    config = make(SchemeParams(k, n), t_share, adv_interval)
                 except ShardcastError:
                     continue
-                slot, adv, cycle = config.ticks()
-                assert (slot, adv) == (to_ticks(t_share), to_ticks(adv_interval))
-                assert cycle == n * slot == to_ticks(n * t_share), (n, t_share, adv_interval)
-                accepted += 1
+                yield n, t_share, adv_interval, config
+
+
+def test_the_cycle_is_n_whole_slots():
+    """Every BroadcastConfig the value grid makes has a cycle of n slots that
+    agrees with the tick count of n * t_share seconds."""
+    accepted = 0
+    for n, t_share, adv_interval, config in grid_configs(BroadcastConfig, VALUES):
+        slot, adv, cycle = config.ticks()
+        assert (slot, adv) == (to_ticks(t_share), to_ticks(adv_interval))
+        assert cycle == n * slot == to_ticks(n * t_share), (n, t_share, adv_interval)
+        accepted += 1
     assert accepted > 50, accepted
+
+
+def test_a_default_run_is_one_cycle():
+    """Every SimConfig without a horizon that the value grid and NUMBERS make
+    runs exactly one cycle of BroadcastConfig.ticks. n * t_share seconds,
+    rounded, missed it at t_share = 1e300 s for n of 5, 7 and 255."""
+    def make(params, t_share, adv_interval):
+        return SimConfig(params, t_share=t_share, adv_interval=adv_interval)
+
+    accepted = 0
+    for n, t_share, _, config in grid_configs(make, VALUES + NUMBERS):
+        cycle = config.broadcast_config().ticks()[2]
+        assert config.ticks()[0] == cycle == n * to_ticks(t_share), (n, t_share)
+        accepted += 1
+    assert accepted == 245, accepted  # the configs BroadcastConfig has always accepted

@@ -266,6 +266,36 @@ def test_an_observer_that_never_evicts_still_checks_now():
     assert info.value.fields == ("now",)
 
 
+@pytest.mark.parametrize("age", [None, 5.0])
+@pytest.mark.parametrize("pooled", [0, 2])
+def test_evict_stale_rejects_a_nan_time(age, pooled):
+    # A NaN cutoff passes no comparison: it used to rebuild the pool and return 0.
+    params = SchemeParams(3, 5)
+    _, entries = device_shares(RandomSource(58), params, "aa:aa:aa:aa:aa:aa")
+    recon = Reconstructor(params, RandomSource(8), max_share_age=age)
+    for entry in entries[:pooled]:
+        recon.add_share(entry)
+    with pytest.raises(InvalidConfig) as info:
+        recon.evict_stale(math.nan)
+    assert info.value.fields == ("now",)
+    assert recon.pool_entries() == tuple(entries[:pooled])
+
+
+def test_add_share_rejects_a_nan_reception_time():
+    # A share received at NaN was never stale, so it stayed in the pool for good.
+    params = SchemeParams(3, 5)
+    _, entries = device_shares(RandomSource(58), params, "aa:aa:aa:aa:aa:aa")
+    recon = Reconstructor(params, RandomSource(8), max_share_age=5.0)
+    with pytest.raises(InvalidConfig) as info:
+        recon.add_share(entries[0]._replace(received_at=math.nan))
+    assert info.value.fields == ("received_at",)
+    assert recon.pool_size == 0
+    # The rejected reception left no key behind: the share is still new.
+    assert recon.add_share(entries[0])
+    assert recon.evict_stale(1e9) == 1
+    assert recon.pool_size == 0
+
+
 def test_eviction_by_age_and_readmission():
     params = SchemeParams(3, 5)
     rng = RandomSource(58)

@@ -133,10 +133,11 @@ def test_seed_must_not_be_negative():
     assert info.value.fields == ("seed",)
 
 
-def test_effective_horizon_default_is_one_cycle():
+def test_default_horizon_is_one_cycle():
     cfg = SimConfig(params=SchemeParams(3, 5), t_share=5.0)
-    assert cfg.effective_horizon == 25.0
-    assert SimConfig(params=SchemeParams(3, 5), horizon=7.0).effective_horizon == 7.0
+    assert cfg.ticks() == (40000, 1600, 1600)  # 25 s, continuous 1 s / 1 s
+    assert SimConfig(params=SchemeParams(3, 5), horizon=7.0).ticks()[0] == 11200
+    assert SimConfig(SchemeParams(3, 5), scan_mode="balanced").ticks()[1:] == (3200, 4800)
 
 
 def test_eviction_age_modes():
